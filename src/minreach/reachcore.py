@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,11 @@ class LtiSystem:
     def output_dim(self) -> int:
         """Dimension of the space feasibility is tested in."""
         return self.n if self.w is None else self.w.shape[0]
+
+    @cached_property
+    def _closures(self) -> "_ClosureCache":
+        # Safe to share: the system is frozen and `a` is read-only.
+        return _ClosureCache(self.a)
 
 
 @dataclass(frozen=True)
@@ -239,25 +245,31 @@ def krylov_columns(sys: LtiSystem, i: int) -> list[np.ndarray]:
 
 
 class _ClosureCache:
-    """Lazily computed per-index state-space closures for one system.
+    """Lazily computed per-index state-space closures for one state matrix.
 
     The closure of index i is the smallest A-invariant subspace containing
     the i-th unit vector: exactly the span of the Krylov columns of i,
     accumulated by repeatedly applying A to each newly accepted orthonormal
     direction until the span stops growing.
+
+    Each ``LtiSystem`` owns one cache, created on first use (``sys._closures``)
+    and shared by every call on that system, so each closure is built at
+    most once per system. The cache keeps `a` and never the system: a
+    reference back would form a cycle, and the n closures would then live
+    until the cyclic garbage collector ran.
     """
 
-    __slots__ = ("sys", "_bases")
+    __slots__ = ("a", "_bases")
 
-    def __init__(self, sys: LtiSystem):
-        self.sys = sys
-        self._bases: list[_SpanBuilder | None] = [None] * sys.n
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self._bases: list[_SpanBuilder | None] = [None] * a.shape[0]
 
     def state_closure(self, i0: int) -> _SpanBuilder:
         """Closure builder for 0-based index `i0`. Treat as read-only."""
         basis = self._bases[i0]
         if basis is None:
-            basis = _index_closure(self.sys.a, i0)
+            basis = _index_closure(self.a, i0)
             self._bases[i0] = basis
         return basis
 
@@ -343,7 +355,7 @@ class _ReachAccumulator:
 
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
-    cache = _ClosureCache(sys)
+    cache = sys._closures
     acc = _ReachAccumulator(sys)
     for i in delta.indices:
         acc.include(i - 1, cache)
@@ -431,7 +443,7 @@ class _SubsetTable:
 
 def _all_subset_projections(sys: LtiSystem, v: np.ndarray) -> _SubsetTable:
     n = sys.n
-    cache = _ClosureCache(sys)
+    cache = sys._closures
     proj: dict[int, float] = {}
 
     def descend(i0: int, acc: _ReachAccumulator, mask: int) -> None:

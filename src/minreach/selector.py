@@ -20,7 +20,6 @@ from .reachcore import (
     ActuatorSet,
     LtiSystem,
     _check_system_vector,
-    _ClosureCache,
     _ReachAccumulator,
 )
 
@@ -80,26 +79,69 @@ class Ball:
         object.__setattr__(self, "radius_sq", radius_sq)
 
 
-def _greedy_core(
-    sys: LtiSystem, v: np.ndarray, eps: float, cache: _ClosureCache
-) -> tuple[list[int], list[float], _ReachAccumulator]:
-    """Greedy loop shared by the public selection routines.
+class _GreedyPath:
+    """The greedy pick sequence for one target, grown on demand.
 
-    Returns 0-based picks, the residual trace, and the final accumulator.
-    Raises NumericalInfeasibilityError when no remaining candidate makes
-    progress while the residual still exceeds `eps`.
+    The greedy picks the same index at every step whatever the threshold
+    is; the threshold only decides where a run stops. Every greedy run for
+    target `v` is therefore a prefix of one pick sequence, and this object
+    holds the part computed so far: the accumulator, the taken indices, the
+    0-based picks and the residual trace (position 0 is ``||v||^2``).
+
+    When the sequence cannot continue, ``stuck`` holds the message, with
+    ``{eps!r}`` standing for the threshold of the query that meets it and
+    ``{res!r}`` for the last residual.
     """
-    n = sys.n
-    acc = _ReachAccumulator(sys)
-    chosen: list[int] = []
-    taken = [False] * n
-    res = float(v @ v)
-    residuals = [res]
+
+    __slots__ = ("v", "cache", "acc", "taken", "chosen", "residuals", "stuck")
+
+    def __init__(self, sys: LtiSystem, v: np.ndarray):
+        self.v = v
+        self.cache = sys._closures
+        self.acc = _ReachAccumulator(sys)
+        self.taken = [False] * sys.n
+        self.chosen: list[int] = []
+        self.residuals = [float(v @ v)]
+        self.stuck: str | None = None
+
+    def prefix(self, eps: float) -> tuple[list[int], list[float]]:
+        """Picks and residual trace of the greedy run with threshold `eps`.
+
+        Extends the path only when `eps` lies below its last residual.
+        Raises NumericalInfeasibilityError when the path is stuck above
+        `eps`.
+        """
+        if self.residuals[-1] > eps:
+            if self.stuck is None:
+                _greedy_core(self, eps)
+            if self.stuck is not None:
+                res = self.residuals[-1]
+                raise NumericalInfeasibilityError(
+                    self.stuck.format(eps=eps, res=res), residual_sq=res
+                )
+        k = next(k for k, res in enumerate(self.residuals) if res <= eps)
+        return self.chosen[:k], self.residuals[: k + 1]
+
+
+def _greedy_core(path: _GreedyPath, eps: float) -> None:
+    """Extend `path` until its residual is at most `eps` or it is stuck.
+
+    Each step adds the index whose closure gives the largest projected-norm
+    gain for the target, breaking ties toward the smallest index. A step
+    that finds no candidate with positive gain, or whose pick does not
+    lower the residual, records why in ``path.stuck`` and stops.
+    """
+    v = path.v
+    cache = path.cache
+    taken = path.taken
+    n = len(taken)
+    acc = path.acc
+    res = path.residuals[-1]
     while res > eps:
         best_gain = 0.0
         best_i0 = -1
         best_acc = None
-        if len(chosen) < n:
+        if len(path.chosen) < n:
             for i0 in range(n):
                 if taken[i0]:
                     continue
@@ -115,23 +157,29 @@ def _greedy_core(
                     best_i0 = i0
                     best_acc = trial
         if best_acc is None:
-            raise NumericalInfeasibilityError(
-                f"no candidate reduces the residual below {eps!r}; "
-                f"stuck at squared residual {res!r}",
-                residual_sq=res,
+            path.stuck = (
+                "no candidate reduces the residual below {eps!r}; "
+                "stuck at squared residual {res!r}"
             )
-        acc = best_acc
-        taken[best_i0] = True
-        chosen.append(best_i0)
-        new_res = acc.residual_sq(v)
+            return
+        new_res = best_acc.residual_sq(v)
         if not new_res < res:
-            raise NumericalInfeasibilityError(
-                f"residual stopped decreasing at {res!r} with target {eps!r}",
-                residual_sq=res,
-            )
+            path.stuck = "residual stopped decreasing at {res!r} with target {eps!r}"
+            return
+        acc = path.acc = best_acc
+        taken[best_i0] = True
+        path.chosen.append(best_i0)
         res = new_res
-        residuals.append(res)
-    return chosen, residuals, acc
+        path.residuals.append(res)
+
+
+def _greedy_trace(
+    n: int, chosen: list[int], residuals: list[float], eps: float
+) -> tuple[ActuatorSet, GreedyTrace]:
+    picks = tuple(i0 + 1 for i0 in chosen)
+    return ActuatorSet(n, picks), GreedyTrace(
+        chosen=picks, residuals=tuple(residuals), epsilon=eps
+    )
 
 
 def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]:
@@ -140,7 +188,9 @@ def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]
     Starting from the empty set, each step adds the index whose reachable
     directions give the largest projected-norm gain for `v`, breaking ties
     toward the smallest index. The threshold is absolute (same units as
-    ``||v||^2``).
+    ``||v||^2``). The run is the prefix, up to the first residual at most
+    `eps`, of the one greedy path for `v`; closures come from the system's
+    shared cache.
 
     Returns the selected set and the pick-by-pick trace.
     """
@@ -148,15 +198,8 @@ def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]
     if not (np.isfinite(eps) and eps > 0.0):
         raise InputError(f"eps: must be positive and finite, got {eps}")
     v = _check_system_vector(sys, v)
-    cache = _ClosureCache(sys)
-    chosen, residuals, _ = _greedy_core(sys, v, eps, cache)
-    delta = ActuatorSet(sys.n, tuple(i0 + 1 for i0 in chosen))
-    trace = GreedyTrace(
-        chosen=tuple(i0 + 1 for i0 in chosen),
-        residuals=tuple(residuals),
-        epsilon=eps,
-    )
-    return delta, trace
+    chosen, residuals = _GreedyPath(sys, v).prefix(eps)
+    return _greedy_trace(sys.n, chosen, residuals, eps)
 
 
 def bisection_exact(
@@ -165,15 +208,19 @@ def bisection_exact(
     """Bisect the greedy threshold down to exact feasibility.
 
     Maintains a bracket (l, u) over the threshold, starting at
-    ``(0, ||v||^2)``. Each probe runs the greedy selection at the bracket
-    midpoint and tests the result for exact feasibility (squared residual
-    at most ``EXACT_TOL * ||v||^2``): an infeasible probe lowers u, a
-    feasible one raises l to seek a sparser set. When the bracket width
-    reaches `accuracy` a final adjustment is applied and a last greedy
-    run produces the result; if that run lands on the infeasible side of
-    the bracket it retreats to the feasible end l (still within
-    accuracy/2 of the midpoint), then to the floor
-    ``EPS_FLOOR_REL * ||v||^2``. Probes never go below the floor.
+    ``(0, ||v||^2)``. Each probe takes the greedy run at the bracket
+    midpoint and tests it for exact feasibility (squared residual at most
+    ``EXACT_TOL * ||v||^2``): an infeasible probe lowers u, a feasible one
+    raises l to seek a sparser set. The loop ends when the bracket width
+    reaches `accuracy`, or when the midpoint rounds to an end of the
+    bracket and the bracket can shrink no further. A final adjustment is
+    then applied and a last greedy run produces the result; if that run
+    lands on the infeasible side of the bracket it retreats to the
+    feasible end l (still within accuracy/2 of the midpoint), then to the
+    floor ``EPS_FLOOR_REL * ||v||^2``. Probes never go below the floor.
+
+    All probes read their run off one greedy path for `v`, so the greedy
+    is computed once however many probes there are.
 
     Returns the selected set, the threshold of the final greedy run, and
     that run's trace. Raises NumericalInfeasibilityError when exact
@@ -188,14 +235,14 @@ def bisection_exact(
         raise InputError("v: must be non-zero")
     floor = EPS_FLOOR_REL * nv2
     exact = EXACT_TOL * nv2
-    cache = _ClosureCache(sys)
+    path = _GreedyPath(sys, v)
 
     lo = 0.0
     hi = nv2
     eps = (lo + hi) / 2.0
     last_feasible = False
-    while hi - lo > accuracy:
-        _, residuals, _ = _greedy_core(sys, v, max(eps, floor), cache)
+    while hi - lo > accuracy and lo < eps < hi:
+        _, residuals = path.prefix(max(eps, floor))
         last_feasible = residuals[-1] <= exact
         if last_feasible:
             lo = eps
@@ -216,7 +263,7 @@ def bisection_exact(
     residuals = [nv2]
     final_eps = None
     for probe in dict.fromkeys(ladder):
-        chosen, residuals, _ = _greedy_core(sys, v, probe, cache)
+        chosen, residuals = path.prefix(probe)
         if residuals[-1] <= exact:
             final_eps = probe
             break
@@ -226,12 +273,7 @@ def bisection_exact(
             f"at threshold floor {floor!r}",
             residual_sq=residuals[-1],
         )
-    delta = ActuatorSet(sys.n, tuple(i0 + 1 for i0 in chosen))
-    trace = GreedyTrace(
-        chosen=tuple(i0 + 1 for i0 in chosen),
-        residuals=tuple(residuals),
-        epsilon=final_eps,
-    )
+    delta, trace = _greedy_trace(sys.n, chosen, residuals, final_eps)
     return delta, final_eps, trace
 
 
@@ -243,6 +285,8 @@ def subset_reach(
     Runs the greedy selection once per ball (center as target, squared
     radius as threshold) and returns the smallest resulting set together
     with the 1-based index of its ball; ties go to the smallest index.
+    Every ball's run reads closures from the system's one shared cache, so
+    each index's closure is built at most once across all balls.
     """
     balls = list(balls)
     if not balls:
@@ -289,7 +333,7 @@ def brute_force_opt(
         if k_max < 0:
             raise InputError(f"k_max: must be non-negative, got {k_max}")
         k_max = min(k_max, n)
-    cache = _ClosureCache(sys)
+    cache = sys._closures
     for k in range(k_max + 1):
         for combo in itertools.combinations(range(n), k):
             acc = _ReachAccumulator(sys)

@@ -1,33 +1,61 @@
 """Selection algorithm tests: greedy residual reduction, bisection to
 exact feasibility, ball-union reachability, and the exhaustive oracles."""
 
+import gc
 import itertools
+import signal
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import random_actuators, random_system
 from minreach import (
+    EPS_FLOOR_REL,
+    EXACT_TOL,
     Ball,
     CapacityError,
     GreedyTrace,
     HittingSetInstance,
     InputError,
     LtiSystem,
+    NumericalInfeasibilityError,
     TransferSpec,
     bisection_exact,
     brute_force_opt,
     epsilon_a,
+    erdos_renyi,
     greedy_eps,
     is_feasible,
     min_hitting_set,
+    random_target,
     residual,
     star,
     subset_reach,
     transfer_vector,
 )
+from minreach import reachcore
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
+
+
+class Hung(Exception):
+    pass
+
+
+def within_seconds(seconds, call):
+    """Run ``call()`` and raise Hung if it outlasts `seconds`."""
+
+    def expire(signum, frame):
+        raise Hung(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def star_transfer(x1):
@@ -146,11 +174,90 @@ class TestBisectionExact:
             assert 0.0 < final_eps <= float(v @ v)
             assert trace.residuals[-1] <= final_eps
 
+    def test_terminates_when_accuracy_is_below_float_spacing(self):
+        # ||v||^2 = 2e12, where floats are about 2.4e-4 apart: the bracket
+        # stops shrinking long before its width reaches 1e-6.
+        sys_, v = star_transfer([0, 1e6, 1e6, 0, 0])
+        delta, final_eps, trace = within_seconds(
+            10, lambda: bisection_exact(sys_, v, 1e-6)
+        )
+        assert set(delta.indices) == {2, 3}
+        assert is_feasible(sys_, delta, v).feasible
+        assert trace.residuals[-1] <= final_eps
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
             bisection_exact(DIAG12, [1.0, 1.0], 0.0)
         with pytest.raises(InputError):
             bisection_exact(DIAG12, [0.0, 0.0], 1e-3)
+
+
+def naive_bisection(sys_, v, accuracy):
+    """Reference for bisection_exact: the same bracket arithmetic and final
+    ladder, with a fresh public greedy_eps run at every probe."""
+    nv2 = float(v @ v)
+    floor = EPS_FLOOR_REL * nv2
+    exact = EXACT_TOL * nv2
+    lo, hi = 0.0, nv2
+    eps = (lo + hi) / 2.0
+    last_feasible = False
+    while hi - lo > accuracy and lo < eps < hi:
+        _, trace = greedy_eps(sys_, v, max(eps, floor))
+        last_feasible = trace.residuals[-1] <= exact
+        if last_feasible:
+            lo = eps
+        else:
+            hi = eps
+        eps = (lo + hi) / 2.0
+    if not last_feasible:
+        hi = eps
+        eps = (lo + hi) / 2.0
+    ladder = [max(eps, floor)] + ([lo] if lo > floor else []) + [floor]
+    for probe in dict.fromkeys(ladder):
+        delta, trace = greedy_eps(sys_, v, probe)
+        if trace.residuals[-1] <= exact:
+            return delta, probe, trace
+    raise AssertionError("a greedy run at the floor ended above the exact tolerance")
+
+
+def outcome(call):
+    try:
+        delta, eps_used, trace = call()
+    except NumericalInfeasibilityError as exc:
+        return ("error", str(exc), exc.residual_sq)
+    return ("ok", delta.indices, eps_used, trace.chosen, trace.residuals, trace.epsilon)
+
+
+def equivalence_systems(rng):
+    """Erdos-Renyi digraphs, 2x2 block-diagonal systems, and weighted
+    systems whose output dimension exceeds the state dimension."""
+    systems = [erdos_renyi(int(rng.integers(4, 16)), seed) for seed in range(17)]
+    for _ in range(17):
+        blocks = int(rng.integers(1, 5))
+        a = np.zeros((2 * blocks, 2 * blocks))
+        for b in range(blocks):
+            a[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = rng.standard_normal((2, 2))
+        systems.append(LtiSystem(a))
+    for _ in range(16):
+        n = int(rng.integers(2, 6))
+        q = int(rng.integers(n + 1, n + 4))
+        systems.append(LtiSystem(rng.standard_normal((n, n)), rng.standard_normal((q, n))))
+    return systems
+
+
+class TestBisectionMatchesNaive:
+    def test_fifty_seeded_systems(self):
+        rng = np.random.default_rng(179)
+        kinds = set()
+        for sys_ in equivalence_systems(rng):
+            v = rng.standard_normal(sys_.output_dim) * float(10.0 ** rng.integers(-3, 4))
+            for rel in (1e-3, 1e-9):
+                accuracy = rel * float(v @ v)
+                got = outcome(lambda: bisection_exact(sys_, v, accuracy))
+                want = outcome(lambda: naive_bisection(sys_, v, accuracy))
+                assert got == want
+                kinds.add(got[0])
+        assert kinds == {"ok", "error"}
 
 
 class TestSubsetReach:
@@ -203,6 +310,60 @@ class TestSubsetReach:
             delta, ball_index = subset_reach(sys_, balls)
             winner = balls[ball_index - 1]
             assert residual(sys_, delta, winner.center) <= winner.radius_sq
+
+
+class TestSharedClosureCache:
+    def test_subset_reach_matches_per_ball_greedy_on_fresh_systems(self):
+        rng = np.random.default_rng(181)
+        for k in range(20):
+            n = int(rng.integers(2, 7))
+            sys_ = random_system(rng, n, weighted=bool(k % 2))
+            balls = [
+                Ball(rng.standard_normal(sys_.output_dim), float(rng.uniform(0.01, 1.0)))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            delta, ball_index = subset_reach(sys_, balls)
+            per_ball = [
+                greedy_eps(LtiSystem(sys_.a, sys_.w), ball.center, ball.radius_sq)[0]
+                for ball in balls
+            ]
+            best = min(range(len(balls)), key=lambda j: per_ball[j].cardinality)
+            assert (delta, ball_index) == (per_ball[best], best + 1)
+
+    def test_subset_reach_builds_each_closure_at_most_once(self, monkeypatch):
+        built = []
+        build = reachcore._index_closure
+
+        def counting(a, i0):
+            built.append(i0)
+            return build(a, i0)
+
+        monkeypatch.setattr(reachcore, "_index_closure", counting)
+        rng = np.random.default_rng(191)
+        for seed in range(3):
+            n = 12
+            sys_ = LtiSystem(erdos_renyi(n, seed).a, rng.standard_normal((n // 2, n)))
+            balls = [
+                Ball(sys_.w @ random_target(n, seed * 8 + k), 0.05)
+                for k in range(8)
+            ]
+            built.clear()
+            subset_reach(sys_, balls)
+            assert 0 < len(built) <= n
+            assert len(set(built)) == len(built)
+
+    def test_system_is_freed_without_the_cycle_collector(self):
+        sys_ = erdos_renyi(20, 5)
+        v = random_target(20, 5)
+        gc.disable()
+        try:
+            bisection_exact(sys_, v, 1.0)
+            assert "_closures" in vars(sys_)
+            ref = weakref.ref(sys_)
+            del sys_
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestBruteForceOpt:
