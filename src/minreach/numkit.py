@@ -8,6 +8,8 @@ package is accumulated through it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -17,6 +19,14 @@ from .errors import DimensionError, InputError
 #: twice-orthogonalized residual has norm at most RANK_TOL * (1 + ||col||)
 #: is treated as already contained in the span.
 RANK_TOL = 1e-10
+
+
+def _norm(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` for a 1-D float64 array, bit for bit,
+    without its dispatch overhead: the square root of ``x.dot(x)`` taken
+    over ``x.ravel(order="K")``, which copies only a strided `x`."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -115,6 +125,15 @@ class _SpanBuilder:
         self._q = np.empty((self.dim, self.dim))
         self._r = 0
 
+    @classmethod
+    def _on(cls, q: np.ndarray) -> "_SpanBuilder":
+        """Empty builder whose basis is stored in the square array `q`."""
+        builder = cls.__new__(cls)
+        builder.dim = q.shape[0]
+        builder._q = q
+        builder._r = 0
+        return builder
+
     @property
     def rank(self) -> int:
         return self._r
@@ -138,20 +157,26 @@ class _SpanBuilder:
         Returns the newly accepted unit direction, or None when the
         column is absorbed into the existing span.
         """
-        norm0 = float(np.linalg.norm(col))
+        norm0 = _norm(col)
         if norm0 == 0.0:
             return None
-        q = self._q[:, : self._r]
-        w = col - q @ (q.T @ col)
-        # One re-orthogonalization pass: a single projection can leave an
-        # O(eps * ||col|| / ||w||) tangential component when ||w|| << ||col||.
-        w -= q @ (q.T @ w)
-        norm_w = float(np.linalg.norm(w))
+        r = self._r
+        if r:
+            q = self._q[:, :r]
+            w = col - q @ (q.T @ col)
+            # One re-orthogonalization pass: a single projection can leave an
+            # O(eps * ||col|| / ||w||) tangential component when ||w|| << ||col||.
+            w -= q @ (q.T @ w)
+            norm_w = _norm(w)
+        else:
+            # Projecting onto the zero subspace subtracts exact zeros.
+            w, norm_w = col, norm0
         if norm_w <= RANK_TOL * (1.0 + norm0):
             return None
-        self._q[:, self._r] = w / norm_w
-        self._r += 1
-        return self._q[:, self._r - 1]
+        out = self._q[:, r]
+        np.divide(w, norm_w, out=out)
+        self._r = r + 1
+        return out
 
     def project_norm_sq(self, v: np.ndarray) -> float:
         """Squared norm of the orthogonal projection of `v` onto the span."""
@@ -162,6 +187,84 @@ class _SpanBuilder:
 
     def freeze(self) -> "OrthoBasis":
         return OrthoBasis._trusted(self.dim, self._q[:, : self._r].copy())
+
+
+def _dots(x: np.ndarray) -> np.ndarray:
+    """``x[k].dot(x[k])`` for every row k, each one the same BLAS dot."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+class _SpanStack:
+    """Span builders over R^dim whose bases share one ``(m, dim, dim)`` array.
+
+    ``builders[k]`` is an ordinary _SpanBuilder on item k of the array, so
+    a caller may extend one builder alone. :meth:`add` extends every
+    builder by one column. When all builders have the same rank, it does
+    so with one batched numpy call per step of
+    _SpanBuilder.add: item by item, such a call makes the BLAS call the
+    single builder makes, on operands with the same layout, so the results
+    are the same to the bit. Otherwise it calls each builder's add.
+    """
+
+    __slots__ = ("q", "builders")
+
+    def __init__(self, m: int, dim: int):
+        self.q = np.empty((m, dim, dim))
+        self.builders = [_SpanBuilder._on(self.q[k]) for k in range(m)]
+
+    @classmethod
+    def copies(cls, builder: _SpanBuilder, m: int) -> "_SpanStack":
+        """`m` builders, each a copy of `builder`."""
+        stack = cls(m, builder.dim)
+        r = builder._r
+        stack.q[:, :, :r] = builder._q[:, :r]
+        for copy in stack.builders:
+            copy._r = r
+        return stack
+
+    def add(self, cols: np.ndarray) -> tuple[list[np.ndarray | None], np.ndarray | None]:
+        """Add ``cols[k]`` to ``builders[k]`` for every k.
+
+        BLAS results depend on a vector's stride, so ``cols[k]`` must be
+        laid out like the column a caller would pass to one builder.
+        Returns what each ``builders[k].add(cols[k])`` returns and, when
+        every builder accepted its column at the same position, those
+        columns as one ``(m, dim)`` view.
+        """
+        builders = self.builders
+        r = builders[0]._r
+        if len(builders) == 1 or any(b._r != r for b in builders):
+            return [b.add(col) for b, col in zip(builders, cols)], None
+        # _norm's ravel copies strided rows; its dot runs on the copies.
+        norm0 = np.sqrt(_dots(np.ascontiguousarray(cols)))
+        if r:
+            q = self.q[:, :, :r]
+            qt = q.transpose(0, 2, 1)
+            x = cols[:, :, None]
+            w = x - q @ (qt @ x)
+            w -= q @ (qt @ w)
+            w = w[:, :, 0]
+            norm_w = np.sqrt(_dots(w))
+        else:
+            w, norm_w = cols, norm0
+        accept = (norm0 != 0.0) & ~(norm_w <= RANK_TOL * (1.0 + norm0))
+        if r == self.q.shape[1]:
+            if accept.any():
+                # No room for the column: fail as the single builder fails.
+                return [b.add(col) for b, col in zip(builders, cols)], None
+            return [None] * len(builders), None
+        if accept.all():
+            np.divide(w, norm_w[:, None], out=self.q[:, :, r])
+        else:
+            self.q[accept, :, r] = w[accept] / norm_w[accept, None]
+        out: list[np.ndarray | None] = []
+        for builder, taken in zip(builders, accept.tolist()):
+            if taken:
+                builder._r = r + 1
+                out.append(builder._q[:, r])
+            else:
+                out.append(None)
+        return out, (self.q[:, :, r] if accept.all() else None)
 
 
 class OrthoBasis:

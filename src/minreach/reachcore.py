@@ -14,7 +14,6 @@ All public actuator indices are 1-based.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,7 +25,15 @@ from .errors import (
     InputError,
     UnsupportedOperationError,
 )
-from .numkit import OrthoBasis, _SpanBuilder, as_matrix, as_square, as_vector, mat_exp
+from .numkit import (
+    OrthoBasis,
+    _SpanBuilder,
+    _SpanStack,
+    as_matrix,
+    as_square,
+    as_vector,
+    mat_exp,
+)
 
 #: Relative exact-feasibility tolerance: a transfer vector v counts as
 #: inside a subspace when the squared residual is at most EXACT_TOL * ||v||^2.
@@ -244,6 +251,12 @@ def krylov_columns(sys: LtiSystem, i: int) -> list[np.ndarray]:
     return columns
 
 
+#: Size in bytes of the span stacks that closures are built in, and that
+#: greedy trials are folded in, a batch of indices at a time. Larger
+#: batches run fewer numpy calls but hold more memory at once.
+_STACK_BYTES = 1 << 20
+
+
 class _ClosureCache:
     """Lazily computed per-index state-space closures for one state matrix.
 
@@ -265,30 +278,52 @@ class _ClosureCache:
         self.a = a
         self._bases: list[_SpanBuilder | None] = [None] * a.shape[0]
 
+    def prefetch(self, indices) -> None:
+        """Build the closures of the 0-based `indices` not built yet, in
+        batches of _STACK_BYTES."""
+        missing = [i0 for i0 in indices if self._bases[i0] is None]
+        step = max(1, _STACK_BYTES // (8 * self.a.shape[0] ** 2))
+        for start in range(0, len(missing), step):
+            chunk = missing[start : start + step]
+            for i0, basis in zip(chunk, _index_closures(self.a, chunk)):
+                self._bases[i0] = basis
+
     def state_closure(self, i0: int) -> _SpanBuilder:
         """Closure builder for 0-based index `i0`. Treat as read-only."""
         basis = self._bases[i0]
         if basis is None:
-            basis = _index_closure(self.a, i0)
-            self._bases[i0] = basis
+            self.prefetch((i0,))
+            basis = self._bases[i0]
         return basis
 
 
-def _index_closure(a: np.ndarray, i0: int) -> _SpanBuilder:
+def _index_closures(a: np.ndarray, indices: list[int]) -> list[_SpanBuilder]:
+    """Closures of the 0-based `indices`, built side by side in one stack.
+
+    Each closure is the breadth-first Krylov sweep described on
+    _ClosureCache: step j applies `a` to accepted direction j and adds the
+    result, until no accepted direction is left to apply or the span is
+    the whole space. Every closure takes step j at the same time, so steps
+    at which all spans have the same rank run batched.
+    """
     n = a.shape[0]
-    builder = _SpanBuilder(n)
-    seed = np.zeros(n)
-    seed[i0] = 1.0
-    frontier: deque[np.ndarray] = deque()
-    accepted = builder.add(seed)
-    if accepted is not None:
-        frontier.append(accepted)
-    while frontier and builder.rank < n:
-        direction = frontier.popleft()
-        accepted = builder.add(a @ direction)
-        if accepted is not None:
-            frontier.append(accepted)
-    return builder
+    stack = _SpanStack(len(indices), n)
+    seeds = np.zeros((len(indices), n))
+    seeds[np.arange(len(indices)), indices] = 1.0
+    stack.add(seeds)
+    builders = stack.builders
+    j = 0
+    while True:
+        live = [j < b.rank < n for b in builders]
+        if all(live):
+            stack.add((a @ stack.q[:, :, j, None])[:, :, 0])
+        elif any(live):
+            for builder, on in zip(builders, live):
+                if on:
+                    builder.add(a @ builder.column(j))
+        else:
+            return builders
+        j += 1
 
 
 class _ReachAccumulator:
@@ -313,6 +348,92 @@ class _ReachAccumulator:
         other.state = self.state.copy()
         other.out = None if self.out is None else self.out.copy()
         return other
+
+    def best_extension(
+        self, indices: list[int], cache: _ClosureCache, v: np.ndarray
+    ) -> tuple[int, "_ReachAccumulator | None"]:
+        """The index of `indices` whose closure gains the most for `v`.
+
+        The gain of index i0 is what ``trial = self.copy()`` followed by
+        ``sum(float(d @ v) ** 2 for d in trial.include(i0, cache))`` gives,
+        to the bit. Returns the first index (in the order given) with the
+        largest positive gain and its trial, or ``(-1, None)`` when no gain
+        is positive.
+
+        The trials of a batch of indices (_STACK_BYTES worth) share span
+        stacks and fold column k of their closures together, so steps at
+        which all of them have the same rank run batched.
+        """
+        cache.prefetch(indices)
+        n = self.sys.n
+        size = 8 * (n * n + (0 if self.out is None else self.out.dim ** 2))
+        step = max(1, _STACK_BYTES // size)
+        # Closure columns are strided views; the columns of an (n, n)
+        # buffer have the same stride, which BLAS results depend on.
+        cols = np.empty((n, n))
+        best_gain = 0.0
+        best: tuple[int, _ReachAccumulator | None] = (-1, None)
+        for start in range(0, len(indices), step):
+            chunk = indices[start : start + step]
+            state = _SpanStack.copies(self.state, len(chunk))
+            out = None if self.out is None else _SpanStack.copies(self.out, len(chunk))
+            sources = [cache.state_closure(i0) for i0 in chunk]
+            gains = self._fold_gains(state, out, sources, cols, v)
+            for c, gain in enumerate(gains):
+                # Strict comparison in index order: ties go to the first.
+                if gain > best_gain:
+                    best_gain = gain
+                    trial = _ReachAccumulator.__new__(_ReachAccumulator)
+                    trial.sys = self.sys
+                    trial.state = state.builders[c].copy()
+                    trial.out = None if out is None else out.builders[c].copy()
+                    best = (chunk[c], trial)
+            # Free this chunk's stacks before the next chunk allocates its own.
+            del state, out
+        return best
+
+    def _fold_gains(
+        self,
+        state: _SpanStack,
+        out: _SpanStack | None,
+        sources: list[_SpanBuilder],
+        cols: np.ndarray,
+        v: np.ndarray,
+    ) -> list[float]:
+        """Fold ``sources[c]`` into trial c of `state` (and `out`), column
+        by column, and return each trial's gain for `v`."""
+        w = self.sys.w
+        m = len(sources)
+        gains = np.zeros(m)
+        for k in range(max(src.rank for src in sources)):
+            if all(k < src.rank for src in sources):
+                for c, src in enumerate(sources):
+                    cols[:, c] = src.column(k)
+                added, batch = state.add(cols[:, :m].T)
+            else:
+                added = [
+                    b.add(src.column(k)) if k < src.rank else None
+                    for b, src in zip(state.builders, sources)
+                ]
+                batch = None
+            if out is not None:
+                if batch is not None:
+                    added, batch = out.add((w @ batch[:, :, None])[:, :, 0])
+                else:
+                    added = [
+                        None if d is None else b.add(w @ d)
+                        for b, d in zip(out.builders, added)
+                    ]
+            if batch is not None:
+                vs = np.broadcast_to(v[:, None], (m, v.shape[0], 1))
+                dots = (batch[:, None, :] @ vs)[:, 0, 0]
+                gains += dots * dots
+            else:
+                for c, d in enumerate(added):
+                    if d is not None:
+                        dot = float(d @ v)
+                        gains[c] += dot * dot
+        return gains.tolist()
 
     def include(self, i0: int, cache: _ClosureCache) -> list[np.ndarray]:
         """Fold in the closure of 0-based index `i0`.

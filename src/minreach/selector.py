@@ -138,24 +138,10 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
     acc = path.acc
     res = path.residuals[-1]
     while res > eps:
-        best_gain = 0.0
-        best_i0 = -1
-        best_acc = None
+        best_i0, best_acc = -1, None
         if len(path.chosen) < n:
-            for i0 in range(n):
-                if taken[i0]:
-                    continue
-                trial = acc.copy()
-                gain = 0.0
-                for direction in trial.include(i0, cache):
-                    dot = float(direction @ v)
-                    gain += dot * dot
-                # Strict comparison over ascending indices: ties resolve
-                # to the smallest index.
-                if gain > best_gain:
-                    best_gain = gain
-                    best_i0 = i0
-                    best_acc = trial
+            candidates = [i0 for i0 in range(n) if not taken[i0]]
+            best_i0, best_acc = acc.best_extension(candidates, cache, v)
         if best_acc is None:
             path.stuck = (
                 "no candidate reduces the residual below {eps!r}; "

@@ -13,6 +13,7 @@ from minreach import (
     mat_exp,
     project_norm_sq,
 )
+from minreach.numkit import _SpanStack
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -215,3 +216,75 @@ class TestOrthoBasisType:
         basis = OrthoBasis(2, np.column_stack([E1]))
         assert basis.contains([2.0, 0.0], tol_sq=1e-12)
         assert not basis.contains([0.0, 1.0], tol_sq=1e-12)
+
+
+def same_builder(x, y):
+    return x.rank == y.rank and np.array_equal(x._q[:, : x.rank], y._q[:, : y.rank])
+
+
+class TestSpanStack:
+    """The batched add must give the single-builder results to the bit."""
+
+    def seeded(self, rng, m, dim, ranks):
+        stack = _SpanStack(m, dim)
+        for builder, rank in zip(stack.builders, ranks):
+            for _ in range(rank):
+                builder.add(rng.standard_normal(dim))
+        singles = [builder.copy() for builder in stack.builders]
+        return stack, singles
+
+    @pytest.mark.parametrize("dim", [3, 13, 50, 101])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_batched_add_matches_single_builders(self, dim, strided):
+        rng = np.random.default_rng(dim)
+        for rank in sorted({0, 1, dim // 2, dim - 1}):
+            m = 7
+            stack, singles = self.seeded(rng, m, dim, [rank] * m)
+            # Columns of a square buffer are strided like closure columns.
+            buf = rng.standard_normal((dim, max(dim, m)) if strided else (m, dim))
+            cols = buf[:, :m].T if strided else buf
+            cols[0] = 0.0
+            if rank:
+                cols[1] = stack.builders[1]._q[:, :rank] @ rng.standard_normal(rank)
+            added, batch = stack.add(cols)
+            expected = [single.add(col) for single, col in zip(singles, cols)]
+            assert [d is None for d in added] == [d is None for d in expected]
+            assert added[0] is None
+            assert (rank == 0) == (added[1] is not None)
+            for d, e in zip(added, expected):
+                assert d is None or np.array_equal(d, e)
+            for builder, single in zip(stack.builders, singles):
+                assert same_builder(builder, single)
+            assert batch is None
+
+    def test_batch_view_when_every_column_is_accepted(self):
+        rng = np.random.default_rng(4)
+        stack, singles = self.seeded(rng, 5, 9, [3] * 5)
+        cols = rng.standard_normal((5, 9))
+        added, batch = stack.add(cols)
+        assert np.array_equal(batch, np.array(added))
+        for builder, single, col in zip(stack.builders, singles, cols):
+            single.add(col)
+            assert same_builder(builder, single)
+
+    def test_unequal_and_full_ranks_match_single_adds(self):
+        rng = np.random.default_rng(5)
+        for ranks in ([1, 2, 3], [4, 4, 4]):
+            stack, singles = self.seeded(rng, 3, 4, ranks)
+            cols = rng.standard_normal((3, 4))
+            added, batch = stack.add(cols)
+            expected = [single.add(col) for single, col in zip(singles, cols)]
+            assert batch is None
+            assert [d is None for d in added] == [d is None for d in expected]
+            for builder, single in zip(stack.builders, singles):
+                assert same_builder(builder, single)
+
+    def test_full_spans_fail_on_a_column_outside_them_as_one_builder_does(self):
+        rng = np.random.default_rng(6)
+        stack, singles = self.seeded(rng, 3, 4, [4, 4, 4])
+        cols = rng.standard_normal((3, 4))
+        cols[1] = np.nan
+        with pytest.raises(IndexError):
+            singles[1].add(cols[1])
+        with pytest.raises(IndexError):
+            stack.add(cols)

@@ -3,6 +3,7 @@ subspaces, feasibility, controllability, transfer vectors, and the
 exact one-step relaxation threshold."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from minreach import (
     star,
     transfer_vector,
 )
+from minreach import reachcore
+from minreach.numkit import _SpanBuilder
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
 
@@ -408,3 +411,85 @@ class TestSemanticProperties:
             checked += 1
             assert is_feasible(sys_, delta, v).feasible == (rel <= EXACT_TOL)
         assert checked >= 40
+
+
+def scalar_closure(a, i0):
+    """The breadth-first Krylov sweep of one index, one builder add at a time."""
+    n = a.shape[0]
+    builder = _SpanBuilder(n)
+    seed = np.zeros(n)
+    seed[i0] = 1.0
+    frontier = deque([builder.add(seed)])
+    while frontier and builder.rank < n:
+        direction = builder.add(a @ frontier.popleft())
+        if direction is not None:
+            frontier.append(direction)
+    return builder
+
+
+def scalar_best_extension(acc, indices, cache, v):
+    """One copy and include per index, gains summed in Python floats."""
+    best_gain, best = 0.0, (-1, None)
+    for i0 in indices:
+        trial = acc.copy()
+        gain = 0.0
+        for direction in trial.include(i0, cache):
+            dot = float(direction @ v)
+            gain += dot * dot
+        if gain > best_gain:
+            best_gain, best = gain, (i0, trial)
+    return best
+
+
+def same_span(x, y):
+    return x.rank == y.rank and np.array_equal(x._q[:, : x.rank], y._q[:, : y.rank])
+
+
+def block_diagonal(rng, sizes):
+    n = sum(sizes)
+    a = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        a[start : start + size, start : start + size] = rng.standard_normal((size, size))
+        start += size
+    return a
+
+
+class TestBatchedClosuresAndExtensions:
+    """Batched closure builds and candidate folds give the one-at-a-time
+    results to the bit, on spans of equal and of unequal ranks."""
+
+    def systems(self):
+        rng = np.random.default_rng(2024)
+        for n in (6, 23, 40):
+            yield random_system(rng, n)
+            yield random_system(rng, n, weighted=True)
+            yield LtiSystem(block_diagonal(rng, [1 + k % 4 for k in range(n // 2)]))
+            sparse = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.08)
+            yield LtiSystem(sparse, rng.standard_normal((n + 3, n)))
+
+    def test_closures_match_the_single_sweep(self):
+        for sys_ in self.systems():
+            indices = list(range(sys_.n))[::-1]
+            for i0, built in zip(indices, reachcore._index_closures(sys_.a, indices)):
+                assert same_span(built, scalar_closure(sys_.a, i0))
+
+    def test_best_extension_matches_copy_and_include(self, monkeypatch):
+        # A small stack budget also exercises several chunks per call.
+        monkeypatch.setattr(reachcore, "_STACK_BYTES", 8 * 40 * 40 * 3)
+        rng = np.random.default_rng(77)
+        for sys_ in self.systems():
+            cache = sys_._closures
+            v = rng.standard_normal(sys_.output_dim)
+            acc = reachcore._ReachAccumulator(sys_)
+            for start in ([], [int(rng.integers(sys_.n))]):
+                for i0 in start:
+                    acc.include(i0, cache)
+                indices = [i0 for i0 in range(sys_.n) if i0 not in start]
+                got_i0, got = acc.best_extension(indices, cache, v)
+                want_i0, want = scalar_best_extension(acc, indices, cache, v)
+                assert got_i0 == want_i0
+                if want is not None:
+                    assert same_span(got.state, want.state)
+                    assert (got.out is None) == (want.out is None)
+                    assert got.out is None or same_span(got.out, want.out)

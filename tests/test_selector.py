@@ -332,13 +332,13 @@ class TestSharedClosureCache:
 
     def test_subset_reach_builds_each_closure_at_most_once(self, monkeypatch):
         built = []
-        build = reachcore._index_closure
+        build = reachcore._index_closures
 
-        def counting(a, i0):
-            built.append(i0)
-            return build(a, i0)
+        def counting(a, indices):
+            built.extend(indices)
+            return build(a, indices)
 
-        monkeypatch.setattr(reachcore, "_index_closure", counting)
+        monkeypatch.setattr(reachcore, "_index_closures", counting)
         rng = np.random.default_rng(191)
         for seed in range(3):
             n = 12
