@@ -23,9 +23,7 @@ from .numkit import (
     as_matrix,
     as_square,
     as_vector,
-    basis_extend,
     mat_exp,
-    project_norm_sq,
 )
 from .reachcore import (
     EXACT_TOL,
@@ -37,7 +35,6 @@ from .reachcore import (
     epsilon_a,
     is_controllable,
     is_feasible,
-    krylov_columns,
     reachable_subspace,
     residual,
     transfer_vector,
@@ -91,7 +88,6 @@ __all__ = [
     "as_matrix",
     "as_square",
     "as_vector",
-    "basis_extend",
     "bisection_exact",
     "brute_force_opt",
     "build_lemma1",
@@ -103,10 +99,8 @@ __all__ = [
     "greedy_eps",
     "is_controllable",
     "is_feasible",
-    "krylov_columns",
     "mat_exp",
     "min_hitting_set",
-    "project_norm_sq",
     "random_target",
     "reachable_subspace",
     "residual",

@@ -44,6 +44,12 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True))
+        fh.write("\n")
+
+
 def _load_system(path: str) -> LtiSystem:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -219,9 +225,7 @@ def _cmd_gen(args) -> int:
     else:
         sys_ = erdos_renyi(args.n, args.seed)
         payload = _system_payload(sys_, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.write("\n")
+    _write_json(args.out, payload)
     _emit({"out": args.out, "n": sys_.n})
     return 0
 
@@ -230,25 +234,26 @@ def _load_instance(path: str) -> HittingSetInstance:
     return HittingSetInstance.from_dict(_load_json(path))
 
 
+def _state_target(chi: np.ndarray) -> dict:
+    return {"kind": "state", "chi": chi.tolist()}
+
+
+#: Each reduction variant's builder, and the target-file payload of the
+#: target it builds.
+_REDUCTIONS = {
+    "lemma1": (build_lemma1, _state_target),
+    "lemma2": (build_lemma2, _state_target),
+    "lemma3": (build_lemma3, lambda cone: {"kind": "cone", "m": cone.m, "p": cone.p}),
+}
+
+
 def _cmd_reduce(args) -> int:
-    instance = _load_instance(args.instance)
-    if args.variant == "lemma1":
-        sys_, chi = build_lemma1(instance)
-        target: dict = {"kind": "state", "chi": chi.tolist()}
-    elif args.variant == "lemma2":
-        sys_, chi = build_lemma2(instance)
-        target = {"kind": "state", "chi": chi.tolist()}
-    else:
-        sys_, cone = build_lemma3(instance)
-        target = {"kind": "cone", "m": cone.m, "p": cone.p}
+    build, target_payload = _REDUCTIONS[args.variant]
+    sys_, target = build(_load_instance(args.instance))
     system_path = f"{args.out}.system.json"
     target_path = f"{args.out}.target.json"
-    with open(system_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_system_payload(sys_), sort_keys=True))
-        fh.write("\n")
-    with open(target_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(target, sort_keys=True))
-        fh.write("\n")
+    _write_json(system_path, _system_payload(sys_))
+    _write_json(target_path, target_payload(target))
     _emit({"system": system_path, "target": target_path})
     return 0
 
@@ -314,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="build a hardness-reduction instance")
     p_reduce.add_argument("instance", help="hitting-set instance JSON file")
     p_reduce.add_argument(
-        "--variant", required=True, choices=("lemma1", "lemma2", "lemma3")
+        "--variant", required=True, choices=tuple(_REDUCTIONS)
     )
     p_reduce.add_argument("--out", required=True, help="output path prefix")
     p_reduce.set_defaults(handler=_cmd_reduce)
@@ -322,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a reduction's size identity")
     p_verify.add_argument("instance", help="hitting-set instance JSON file")
     p_verify.add_argument(
-        "--variant", required=True, choices=("lemma1", "lemma2", "lemma3")
+        "--variant", required=True, choices=tuple(_REDUCTIONS)
     )
     p_verify.add_argument("--kmax", type=int, default=None, help="cardinality cap")
     p_verify.set_defaults(handler=_cmd_verify)

@@ -382,12 +382,3 @@ class OrthoBasis:
         builder._r = self.rank
         return builder
 
-
-def basis_extend(basis: OrthoBasis, col) -> tuple[OrthoBasis, bool]:
-    """Function form of :meth:`OrthoBasis.extend`."""
-    return basis.extend(col)
-
-
-def project_norm_sq(basis: OrthoBasis, v) -> float:
-    """Function form of :meth:`OrthoBasis.project_norm_sq`."""
-    return basis.project_norm_sq(v)

@@ -14,7 +14,8 @@ All public actuator indices are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -212,45 +213,6 @@ def _check_actuators(sys: LtiSystem, delta: ActuatorSet) -> None:
         )
 
 
-def krylov_columns(sys: LtiSystem, i: int) -> list[np.ndarray]:
-    """Power-chain columns for actuator index `i` (1-based).
-
-    Returns the n columns whose k-th entry is the unit-normalized image of
-    the i-th unit vector under the k-th power of A (and under the output
-    weight when present). Columns that vanish are preserved as exact zero
-    vectors; a zero column marks the end of the informative chain.
-
-    The span of these columns is the contribution of index `i` to the
-    reachable subspace. For spectrally lopsided systems the chain loses
-    the subdominant directions to floating point, so subspace accumulation
-    elsewhere in the package uses an invariant-closure sweep that resolves
-    the same span exactly.
-    """
-    n = sys.n
-    i = int(i)
-    if not 1 <= i <= n:
-        raise InputError(f"i: expected 1..{n}, got {i}")
-    state = np.zeros((n, n))
-    cur = np.zeros(n)
-    cur[i - 1] = 1.0
-    for k in range(n):
-        norm = float(np.linalg.norm(cur))
-        if norm == 0.0:
-            break
-        cur = cur / norm
-        state[:, k] = cur
-        cur = sys.a @ cur
-    out = state if sys.w is None else sys.w @ state
-    columns = []
-    for k in range(n):
-        col = out[:, k].copy()
-        norm = float(np.linalg.norm(col))
-        if norm > 0.0:
-            col /= norm
-        columns.append(col)
-    return columns
-
-
 #: Size in bytes of the span stacks that closures are built in, and that
 #: greedy trials are folded in, a batch of indices at a time. Larger
 #: batches run fewer numpy calls but hold more memory at once.
@@ -331,8 +293,9 @@ class _ReachAccumulator:
 
     Maintains a state-space span (where invariance lives) and, when the
     system carries an output weight, a parallel output-space span that
-    projections and gains are measured in. Copies are cheap enough to
-    support copy-on-extend candidate evaluation.
+    projections and gains are measured in. The greedy scores candidates
+    with :meth:`best_extension`; copies serve the exhaustive subset walk,
+    which extends a copy of each subset's prefix.
     """
 
     __slots__ = ("sys", "state", "out")
@@ -544,40 +507,57 @@ def is_controllable(sys: LtiSystem, delta: ActuatorSet) -> bool:
 def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
     """The vector v = x1 - exp(A (t1 - t0)) x0 whose reachability decides
     the transfer. Returned in state space; apply the output weight
-    separately when working with the weighted variant."""
+    separately when working with the weighted variant.
+
+    Raises InputError when exp(A (t1 - t0)) x0 overflows float64.
+    """
     if spec.n != sys.n:
         raise DimensionError(
             f"transfer endpoints have length {spec.n}, system has n={sys.n}"
         )
-    return spec.x1 - mat_exp(sys.a, spec.t1 - spec.t0) @ spec.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = spec.x1 - mat_exp(sys.a, spec.t1 - spec.t0) @ spec.x0
+    # A non-finite entry of the exponential turns its row of v into inf or
+    # nan even where x0 is zero, so checking v covers both overflows.
+    if not np.all(np.isfinite(v)):
+        raise InputError(
+            f"exp(A (t1 - t0)) x0 overflows float64 over the time window "
+            f"[{spec.t0}, {spec.t1}]; shorten the window or rescale A"
+        )
+    return v
 
 
-@dataclass(frozen=True)
-class _SubsetTable:
-    """Projected squared norms of one vector over all actuator subsets,
-    keyed by 0-based index bitmask."""
+def _subset_residuals(
+    sys: LtiSystem, v: np.ndarray, k: int
+) -> Iterator[tuple[int, float]]:
+    """Yield ``(mask, residual_sq)`` of `v` for every subset of at most `k`
+    0-based indices, keyed by index bitmask. Each residual is what the
+    subset's ``_ReachAccumulator.residual_sq(v)`` gives, with ||v||^2
+    computed once.
 
-    n: int
-    nv2: float
-    proj: dict = field(repr=False)
-
-
-def _all_subset_projections(sys: LtiSystem, v: np.ndarray) -> _SubsetTable:
+    Subsets are walked depth first, each index included before it is
+    skipped, so the subsets of each size come in lexicographic order. Each
+    subset is its prefix's accumulator copied and extended by one index,
+    so each is built once. The walk keeps an explicit stack of subsets
+    still to extend, which holds at most n + 1 accumulators.
+    """
     n = sys.n
     cache = sys._closures
-    proj: dict[int, float] = {}
-
-    def descend(i0: int, acc: _ReachAccumulator, mask: int) -> None:
-        if i0 == n:
-            proj[mask] = acc.project_norm_sq(v)
-            return
-        descend(i0 + 1, acc, mask)
-        extended = acc.copy()
-        extended.include(i0, cache)
-        descend(i0 + 1, extended, mask | (1 << i0))
-
-    descend(0, _ReachAccumulator(sys), 0)
-    return _SubsetTable(n=n, nv2=float(v @ v), proj=proj)
+    nv2 = float(v @ v)
+    root = _ReachAccumulator(sys)
+    yield 0, nv2 - root.project_norm_sq(v)
+    # (accumulator, mask, size, next index the subset may be extended by)
+    stack = [(root, 0, 0, 0)]
+    while stack:
+        acc, mask, size, i0 = stack.pop()
+        if i0 == n or size == k:
+            continue
+        stack.append((acc, mask, size, i0 + 1))
+        child = acc.copy()
+        child.include(i0, cache)
+        child_mask = mask | 1 << i0
+        yield child_mask, nv2 - child.project_norm_sq(v)
+        stack.append((child, child_mask, size + 1, i0 + 1))
 
 
 def epsilon_a(sys: LtiSystem, v) -> float:
@@ -598,11 +578,11 @@ def epsilon_a(sys: LtiSystem, v) -> float:
     nv2 = float(v @ v)
     if nv2 == 0.0:
         raise InputError("v: must be non-zero")
-    table = _all_subset_projections(sys, v)
+    res = dict(_subset_residuals(sys, v, sys.n))
     tol = EXACT_TOL * nv2
 
     def feasible(mask: int) -> bool:
-        return nv2 - table.proj[mask] <= tol
+        return res[mask] <= tol
 
     best = math.inf
     n = sys.n
@@ -612,5 +592,5 @@ def epsilon_a(sys: LtiSystem, v) -> float:
         if any(
             not mask & (1 << i0) and feasible(mask | (1 << i0)) for i0 in range(n)
         ):
-            best = min(best, nv2 - table.proj[mask])
+            best = min(best, res[mask])
     return best

@@ -21,6 +21,7 @@ from .reachcore import (
     LtiSystem,
     _check_system_vector,
     _ReachAccumulator,
+    _subset_residuals,
 )
 
 if TYPE_CHECKING:
@@ -319,14 +320,12 @@ def brute_force_opt(
         if k_max < 0:
             raise InputError(f"k_max: must be non-negative, got {k_max}")
         k_max = min(k_max, n)
-    cache = sys._closures
+    # One walk per size: the walk interleaves sizes, and a walk capped at
+    # size k can stop at the first hit of size k.
     for k in range(k_max + 1):
-        for combo in itertools.combinations(range(n), k):
-            acc = _ReachAccumulator(sys)
-            for i0 in combo:
-                acc.include(i0, cache)
-            if acc.residual_sq(v) <= eps:
-                return ActuatorSet(n, tuple(i0 + 1 for i0 in combo))
+        for mask, res in _subset_residuals(sys, v, k):
+            if mask.bit_count() == k and res <= eps:
+                return ActuatorSet(n, (i0 + 1 for i0 in range(n) if mask >> i0 & 1))
     return None
 
 

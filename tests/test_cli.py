@@ -3,10 +3,15 @@ exit codes, trace emission, and output stability."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minreach
 from conftest import run_cli
 from minreach import erdos_renyi
 from minreach.errors import NumericalInfeasibilityError
@@ -207,6 +212,28 @@ class TestReach:
         )
         assert code == 3
         assert "stuck" in err
+
+    def test_overflowing_window_names_it(self, tmp_path):
+        # exp(A * 2000) overflows float64 for this digraph (spectral
+        # abscissa about 2.7). Run as a process so stderr is the real one.
+        path = tmp_path / "er.json"
+        assert run_cli(["gen", "er", "30", "1", "--out", str(path)])[0] == 0
+        ones = ",".join(["1"] * 30)
+        argv = ["reach", str(path), "--x0", ones, "--x1", ones]
+        env = dict(os.environ, PYTHONPATH=str(Path(minreach.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "minreach.cli", *argv, "--t1", "2000", "--eps", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "[0.0, 2000.0]" in proc.stderr
+        assert "exp(A (t1 - t0))" in proc.stderr
+        assert "overflow" in proc.stderr
 
 
 class TestSubsetReach:

@@ -9,9 +9,7 @@ from minreach import (
     InputError,
     OrthoBasis,
     RANK_TOL,
-    basis_extend,
     mat_exp,
-    project_norm_sq,
 )
 from minreach.numkit import _SpanStack
 
@@ -64,31 +62,31 @@ class TestMatExp:
 class TestBasisExtend:
     def test_absorbs_member(self):
         basis = OrthoBasis(2, np.column_stack([E1]))
-        out, absorbed = basis_extend(basis, E1)
+        out, absorbed = basis.extend(E1)
         assert absorbed
         assert out is basis
 
     def test_appends_orthogonal(self):
         basis = OrthoBasis(2, np.column_stack([E1]))
-        out, absorbed = basis_extend(basis, E2)
+        out, absorbed = basis.extend(E2)
         assert not absorbed
         assert out.rank == 2
         assert basis.rank == 1
 
     def test_absorbs_near_member(self):
         basis = OrthoBasis(2, np.column_stack([E1]))
-        out, absorbed = basis_extend(basis, E1 + 1e-14 * E2)
+        out, absorbed = basis.extend(E1 + 1e-14 * E2)
         assert absorbed
         assert out.rank == 1
 
     def test_keeps_clearly_new_direction(self):
         basis = OrthoBasis(2, np.column_stack([E1]))
-        _, absorbed = basis_extend(basis, E1 + 1e-6 * E2)
+        _, absorbed = basis.extend(E1 + 1e-6 * E2)
         assert not absorbed
 
     def test_zero_column_absorbed(self):
         basis = OrthoBasis.empty(3)
-        out, absorbed = basis_extend(basis, np.zeros(3))
+        out, absorbed = basis.extend(np.zeros(3))
         assert absorbed
         assert out.rank == 0
 
@@ -97,31 +95,31 @@ class TestBasisExtend:
         basis = random_orthobasis(rng, 5, 3)
         for _ in range(50):
             col = rng.standard_normal(5)
-            _, base_flag = basis_extend(basis, col)
+            _, base_flag = basis.extend(col)
             for c in (1e-6, 1e6):
-                _, flag = basis_extend(basis, c * col)
+                _, flag = basis.extend(c * col)
                 assert flag == base_flag
 
     def test_dimension_mismatch(self):
         basis = OrthoBasis.empty(3)
         with pytest.raises(DimensionError):
-            basis_extend(basis, np.zeros(4))
+            basis.extend(np.zeros(4))
 
     def test_rank_never_exceeds_ambient(self):
         rng = np.random.default_rng(5)
         basis = OrthoBasis.empty(3)
         for _ in range(10):
-            basis, _ = basis_extend(basis, rng.standard_normal(3))
+            basis, _ = basis.extend(rng.standard_normal(3))
         assert basis.rank == 3
 
 
 class TestProjectNormSq:
     def test_empty_basis_gives_zero(self):
-        assert project_norm_sq(OrthoBasis.empty(2), [3.0, 4.0]) == 0.0
+        assert OrthoBasis.empty(2).project_norm_sq([3.0, 4.0]) == 0.0
 
     def test_component_extraction(self):
         basis = OrthoBasis(2, np.column_stack([E1]))
-        assert project_norm_sq(basis, [3.0, 4.0]) == pytest.approx(9.0, abs=1e-12)
+        assert basis.project_norm_sq([3.0, 4.0]) == pytest.approx(9.0, abs=1e-12)
 
     def test_matches_normal_equations_solve(self):
         rng = np.random.default_rng(13)
@@ -133,7 +131,7 @@ class TestProjectNormSq:
             q = basis.columns
             coeffs = np.linalg.solve(q.T @ q, q.T @ v)
             proj = q @ coeffs
-            assert project_norm_sq(basis, v) == pytest.approx(
+            assert basis.project_norm_sq(v) == pytest.approx(
                 float(proj @ proj), abs=1e-9
             )
 
@@ -141,11 +139,11 @@ class TestProjectNormSq:
         rng = np.random.default_rng(17)
         basis = random_orthobasis(rng, 6, 6)
         v = rng.standard_normal(6)
-        assert project_norm_sq(basis, v) <= float(v @ v)
+        assert basis.project_norm_sq(v) <= float(v @ v)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            project_norm_sq(OrthoBasis.empty(2), [1.0, 2.0, 3.0])
+            OrthoBasis.empty(2).project_norm_sq([1.0, 2.0, 3.0])
 
 
 class TestProjectionProperties:

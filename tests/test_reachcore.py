@@ -21,7 +21,6 @@ from minreach import (
     epsilon_a,
     is_controllable,
     is_feasible,
-    krylov_columns,
     reachable_subspace,
     residual,
     star,
@@ -108,48 +107,6 @@ class TestTransferSpec:
         spec = TransferSpec(x0=[0.0], x1=[1.0])
         assert spec.t0 == 0.0
         assert spec.t1 == 1.0
-
-
-class TestKrylovColumns:
-    def test_zero_matrix(self):
-        sys_ = LtiSystem(np.zeros((3, 3)))
-        cols = krylov_columns(sys_, 2)
-        assert len(cols) == 3
-        assert cols[0].tolist() == [0.0, 1.0, 0.0]
-        assert cols[1].tolist() == [0.0, 0.0, 0.0]
-        assert cols[2].tolist() == [0.0, 0.0, 0.0]
-
-    def test_star_center_spans_one_axis(self):
-        cols = krylov_columns(star(4), 1)
-        e1 = np.zeros(5)
-        e1[0] = 1.0
-        assert len(cols) == 5
-        for col in cols:
-            assert abs(abs(float(col @ e1)) - 1.0) <= 1e-12
-
-    def test_diagonal_eigenvector_invariance(self):
-        for col in krylov_columns(DIAG12, 1):
-            assert col[1] == 0.0
-            assert abs(col[0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_columns_unit_or_zero(self):
-        rng = np.random.default_rng(41)
-        sys_ = random_system(rng, 5)
-        for col in krylov_columns(sys_, 3):
-            norm = float(np.linalg.norm(col))
-            assert norm == 0.0 or norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_weighted_columns_live_in_output_space(self):
-        rng = np.random.default_rng(43)
-        sys_ = LtiSystem(rng.standard_normal((4, 4)), w=np.ones((2, 4)))
-        cols = krylov_columns(sys_, 1)
-        assert all(col.shape == (2,) for col in cols)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InputError):
-            krylov_columns(DIAG12, 0)
-        with pytest.raises(InputError):
-            krylov_columns(DIAG12, 3)
 
 
 class TestReachableSubspace:

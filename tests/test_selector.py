@@ -3,6 +3,7 @@ exact feasibility, ball-union reachability, and the exhaustive oracles."""
 
 import gc
 import itertools
+import math
 import signal
 import weakref
 
@@ -35,6 +36,7 @@ from minreach import (
     transfer_vector,
 )
 from minreach import reachcore
+from minreach.reachcore import _ReachAccumulator
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
 
@@ -401,6 +403,88 @@ class TestBruteForceOpt:
             greedy, _ = greedy_eps(sys_, v, eps)
             assert opt.cardinality <= greedy.cardinality
             assert residual(sys_, opt, v) <= eps
+
+
+def combinations_oracle(sys_, v, eps, k_max):
+    """Reference for brute_force_opt: every combination by size, then in
+    lexicographic order, each folded into a fresh accumulator."""
+    cache = sys_._closures
+    for k in range(k_max + 1):
+        for combo in itertools.combinations(range(sys_.n), k):
+            acc = _ReachAccumulator(sys_)
+            for i0 in combo:
+                acc.include(i0, cache)
+            if acc.residual_sq(v) <= eps:
+                return tuple(i0 + 1 for i0 in combo)
+    return None
+
+
+def per_mask_epsilon_a(sys_, v):
+    """Reference for epsilon_a: every subset folded into a fresh accumulator."""
+    n = sys_.n
+    cache = sys_._closures
+    res = []
+    for mask in range(1 << n):
+        acc = _ReachAccumulator(sys_)
+        for i0 in range(n):
+            if mask >> i0 & 1:
+                acc.include(i0, cache)
+        res.append(acc.residual_sq(v))
+    tol = EXACT_TOL * float(v @ v)
+    return min(
+        (
+            res[mask]
+            for mask in range(1 << n)
+            if res[mask] > tol
+            and any(res[mask | 1 << i0] <= tol for i0 in range(n) if not mask >> i0 & 1)
+        ),
+        default=math.inf,
+    )
+
+
+def sparse_block_system(rng, n, weighted):
+    """Block-diagonal system of one to four sparse random blocks, so that
+    closures differ between indices and optimal sets vary in size."""
+    a = np.zeros((n, n))
+    cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, 4)), replace=False))
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        block = rng.standard_normal((hi - lo, hi - lo))
+        block[rng.random(block.shape) < 0.6] = 0.0
+        a[lo:hi, lo:hi] = block
+    w = rng.standard_normal((int(rng.integers(1, n + 1)), n)) if weighted else None
+    return LtiSystem(a, w)
+
+
+class TestExhaustiveOraclesMatchReferences:
+    def test_brute_force_matches_combinations(self):
+        rng = np.random.default_rng(1601)
+        outcomes = []
+        for case in range(120):
+            n = 4 + case % 10
+            weighted = case % 3 == 0
+            sys_ = sparse_block_system(rng, n, weighted)
+            v = rng.standard_normal(sys_.output_dim)
+            eps = float(rng.choice([EXACT_TOL, 1e-2, 0.3])) * float(v @ v)
+            k_max = int(rng.integers(0, 4)) if n > 7 else None
+            got = brute_force_opt(sys_, v, eps, k_max)
+            want = combinations_oracle(sys_, v, eps, n if k_max is None else k_max)
+            assert (None if got is None else got.indices) == want, (case, n, k_max)
+            outcomes.append((weighted, want))
+        assert sum(want is None for _, want in outcomes) >= 10
+        assert sum(want is not None and len(want) >= 2 for _, want in outcomes) >= 10
+        assert sum(weighted and want is not None for weighted, want in outcomes) >= 10
+
+    def test_epsilon_a_matches_per_mask_sweep(self):
+        rng = np.random.default_rng(1607)
+        finite = 0
+        for case in range(14):
+            n = 4 + case % 7
+            sys_ = sparse_block_system(rng, n, weighted=case % 2 == 1)
+            v = rng.standard_normal(sys_.output_dim)
+            value = epsilon_a(sys_, v)
+            assert repr(value) == repr(per_mask_epsilon_a(sys_, v)), case
+            finite += math.isfinite(value)
+        assert finite >= 7
 
 
 def exhaustive_hitting_set(instance):
