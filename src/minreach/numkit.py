@@ -198,12 +198,13 @@ class _SpanStack:
     """Span builders over R^dim whose bases share one ``(m, dim, dim)`` array.
 
     ``builders[k]`` is an ordinary _SpanBuilder on item k of the array, so
-    a caller may extend one builder alone. :meth:`add` extends every
-    builder by one column. When all builders have the same rank, it does
-    so with one batched numpy call per step of
-    _SpanBuilder.add: item by item, such a call makes the BLAS call the
-    single builder makes, on operands with the same layout, so the results
-    are the same to the bit. Otherwise it calls each builder's add.
+    a caller may extend one builder alone. :meth:`add` extends the builders
+    a mask selects by one column each. When it selects every builder and
+    all of them have the same rank, it does so with one batched numpy call
+    per step of _SpanBuilder.add: item by item, such a call makes the BLAS
+    call the single builder makes, on operands with the same layout, so the
+    results are the same to the bit. Otherwise it calls each selected
+    builder's add.
     """
 
     __slots__ = ("q", "builders")
@@ -222,19 +223,27 @@ class _SpanStack:
             copy._r = r
         return stack
 
-    def add(self, cols: np.ndarray) -> tuple[list[np.ndarray | None], np.ndarray | None]:
-        """Add ``cols[k]`` to ``builders[k]`` for every k.
+    def add(
+        self, cols: np.ndarray, take=None
+    ) -> tuple[list[np.ndarray | None], np.ndarray | None]:
+        """Add ``cols[k]`` to ``builders[k]`` for every k that `take`
+        selects (every k when `take` is None); ``cols[k]`` of the others is
+        never read.
 
         BLAS results depend on a vector's stride, so ``cols[k]`` must be
         laid out like the column a caller would pass to one builder.
-        Returns what each ``builders[k].add(cols[k])`` returns and, when
-        every builder accepted its column at the same position, those
-        columns as one ``(m, dim)`` view.
+        Returns what each ``builders[k].add(cols[k])`` returns, None for
+        the builders not selected, and, when every builder accepted its
+        column at the same position, those columns as one ``(m, dim)`` view.
         """
         builders = self.builders
+        if take is None:
+            take = [True] * len(builders)
         r = builders[0]._r
-        if len(builders) == 1 or any(b._r != r for b in builders):
-            return [b.add(col) for b, col in zip(builders, cols)], None
+        if len(builders) == 1 or not all(take) or any(b._r != r for b in builders):
+            return [
+                b.add(col) if t else None for b, col, t in zip(builders, cols, take)
+            ], None
         # _norm's ravel copies strided rows; its dot runs on the copies.
         norm0 = np.sqrt(_dots(np.ascontiguousarray(cols)))
         if r:

@@ -13,6 +13,7 @@ All public actuator indices are 1-based.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -88,9 +89,18 @@ class LtiSystem:
         return self.n if self.w is None else self.w.shape[0]
 
     @cached_property
-    def _closures(self) -> "_ClosureCache":
-        # Safe to share: the system is frozen and `a` is read-only.
-        return _ClosureCache(self.a)
+    def _closures(self) -> tuple[_SpanBuilder, ...]:
+        """The closure of every 0-based index, built on first use in
+        batches of _STACK_BYTES and shared by every call on this system.
+        Safe to share because the system is frozen and `a` is read-only;
+        treat the builders as read-only."""
+        indices = list(range(self.n))
+        step = max(1, _STACK_BYTES // (8 * self.n**2))
+        return tuple(
+            closure
+            for start in range(0, self.n, step)
+            for closure in _index_closures(self.a, indices[start : start + step])
+        )
 
 
 @dataclass(frozen=True)
@@ -219,73 +229,29 @@ def _check_actuators(sys: LtiSystem, delta: ActuatorSet) -> None:
 _STACK_BYTES = 1 << 20
 
 
-class _ClosureCache:
-    """Lazily computed per-index state-space closures for one state matrix.
-
-    The closure of index i is the smallest A-invariant subspace containing
-    the i-th unit vector: exactly the span of the Krylov columns of i,
-    accumulated by repeatedly applying A to each newly accepted orthonormal
-    direction until the span stops growing.
-
-    Each ``LtiSystem`` owns one cache, created on first use (``sys._closures``)
-    and shared by every call on that system, so each closure is built at
-    most once per system. The cache keeps `a` and never the system: a
-    reference back would form a cycle, and the n closures would then live
-    until the cyclic garbage collector ran.
-    """
-
-    __slots__ = ("a", "_bases")
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self._bases: list[_SpanBuilder | None] = [None] * a.shape[0]
-
-    def prefetch(self, indices) -> None:
-        """Build the closures of the 0-based `indices` not built yet, in
-        batches of _STACK_BYTES."""
-        missing = [i0 for i0 in indices if self._bases[i0] is None]
-        step = max(1, _STACK_BYTES // (8 * self.a.shape[0] ** 2))
-        for start in range(0, len(missing), step):
-            chunk = missing[start : start + step]
-            for i0, basis in zip(chunk, _index_closures(self.a, chunk)):
-                self._bases[i0] = basis
-
-    def state_closure(self, i0: int) -> _SpanBuilder:
-        """Closure builder for 0-based index `i0`. Treat as read-only."""
-        basis = self._bases[i0]
-        if basis is None:
-            self.prefetch((i0,))
-            basis = self._bases[i0]
-        return basis
-
-
 def _index_closures(a: np.ndarray, indices: list[int]) -> list[_SpanBuilder]:
     """Closures of the 0-based `indices`, built side by side in one stack.
 
-    Each closure is the breadth-first Krylov sweep described on
-    _ClosureCache: step j applies `a` to accepted direction j and adds the
-    result, until no accepted direction is left to apply or the span is
-    the whole space. Every closure takes step j at the same time, so steps
-    at which all spans have the same rank run batched.
+    The closure of index i is the smallest A-invariant subspace containing
+    the i-th unit vector: the span of its Krylov columns, built by a
+    breadth-first sweep. Step j applies `a` to accepted direction j and
+    adds the result, until no accepted direction is left to apply or the
+    span is the whole space. Every closure takes step j at the same time;
+    only the closures still growing take a column.
     """
-    n = a.shape[0]
-    stack = _SpanStack(len(indices), n)
-    seeds = np.zeros((len(indices), n))
-    seeds[np.arange(len(indices)), indices] = 1.0
+    m, n = len(indices), a.shape[0]
+    stack = _SpanStack(m, n)
+    # Step j multiplies column j of every closure, and one that stopped
+    # growing may never have written it: zeroed, it holds no garbage.
+    stack.q.fill(0.0)
+    seeds = np.zeros((m, n))
+    seeds[np.arange(m), indices] = 1.0
     stack.add(seeds)
-    builders = stack.builders
-    j = 0
-    while True:
-        live = [j < b.rank < n for b in builders]
-        if all(live):
-            stack.add((a @ stack.q[:, :, j, None])[:, :, 0])
-        elif any(live):
-            for builder, on in zip(builders, live):
-                if on:
-                    builder.add(a @ builder.column(j))
-        else:
-            return builders
-        j += 1
+    for j in itertools.count():
+        live = [j < b.rank < n for b in stack.builders]
+        if not any(live):
+            return stack.builders
+        stack.add((a @ stack.q[:, :, j, None])[:, :, 0], live)
 
 
 class _ReachAccumulator:
@@ -313,12 +279,12 @@ class _ReachAccumulator:
         return other
 
     def best_extension(
-        self, indices: list[int], cache: _ClosureCache, v: np.ndarray
+        self, indices: list[int], v: np.ndarray
     ) -> tuple[int, "_ReachAccumulator | None"]:
         """The index of `indices` whose closure gains the most for `v`.
 
         The gain of index i0 is what ``trial = self.copy()`` followed by
-        ``sum(float(d @ v) ** 2 for d in trial.include(i0, cache))`` gives,
+        ``sum(float(d @ v) ** 2 for d in trial.include(i0))`` gives,
         to the bit. Returns the first index (in the order given) with the
         largest positive gain and its trial, or ``(-1, None)`` when no gain
         is positive.
@@ -327,7 +293,7 @@ class _ReachAccumulator:
         stacks and fold column k of their closures together, so steps at
         which all of them have the same rank run batched.
         """
-        cache.prefetch(indices)
+        closures = self.sys._closures
         n = self.sys.n
         size = 8 * (n * n + (0 if self.out is None else self.out.dim ** 2))
         step = max(1, _STACK_BYTES // size)
@@ -340,7 +306,7 @@ class _ReachAccumulator:
             chunk = indices[start : start + step]
             state = _SpanStack.copies(self.state, len(chunk))
             out = None if self.out is None else _SpanStack.copies(self.out, len(chunk))
-            sources = [cache.state_closure(i0) for i0 in chunk]
+            sources = [closures[i0] for i0 in chunk]
             gains = self._fold_gains(state, out, sources, cols, v)
             for c, gain in enumerate(gains):
                 # Strict comparison in index order: ties go to the first.
@@ -368,17 +334,13 @@ class _ReachAccumulator:
         w = self.sys.w
         m = len(sources)
         gains = np.zeros(m)
-        for k in range(max(src.rank for src in sources)):
-            if all(k < src.rank for src in sources):
-                for c, src in enumerate(sources):
+        ranks = [src.rank for src in sources]
+        for k in range(max(ranks)):
+            live = [k < rank for rank in ranks]
+            for c, src in enumerate(sources):
+                if live[c]:
                     cols[:, c] = src.column(k)
-                added, batch = state.add(cols[:, :m].T)
-            else:
-                added = [
-                    b.add(src.column(k)) if k < src.rank else None
-                    for b, src in zip(state.builders, sources)
-                ]
-                batch = None
+            added, batch = state.add(cols[:, :m].T, live)
             if out is not None:
                 if batch is not None:
                     added, batch = out.add((w @ batch[:, :, None])[:, :, 0])
@@ -398,13 +360,13 @@ class _ReachAccumulator:
                         gains[c] += dot * dot
         return gains.tolist()
 
-    def include(self, i0: int, cache: _ClosureCache) -> list[np.ndarray]:
+    def include(self, i0: int) -> list[np.ndarray]:
         """Fold in the closure of 0-based index `i0`.
 
         Returns the output-space directions that were newly accepted, in
         acceptance order.
         """
-        src = cache.state_closure(i0)
+        src = self.sys._closures[i0]
         w = self.sys.w
         added: list[np.ndarray] = []
         for k in range(src.rank):
@@ -439,10 +401,9 @@ class _ReachAccumulator:
 
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
-    cache = sys._closures
     acc = _ReachAccumulator(sys)
     for i in delta.indices:
-        acc.include(i - 1, cache)
+        acc.include(i - 1)
     return acc
 
 
@@ -500,8 +461,7 @@ def is_controllable(sys: LtiSystem, delta: ActuatorSet) -> bool:
         raise UnsupportedOperationError(
             "controllability is defined for the unweighted variant only"
         )
-    state_sys = sys if sys.w is None else LtiSystem(sys.a)
-    return _accumulate(state_sys, delta).state_rank == sys.n
+    return _accumulate(sys, delta).state_rank == sys.n
 
 
 def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
@@ -509,12 +469,15 @@ def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
     the transfer. Returned in state space; apply the output weight
     separately when working with the weighted variant.
 
-    Raises InputError when exp(A (t1 - t0)) x0 overflows float64.
+    Raises InputError when exp(A (t1 - t0)) x0 overflows float64. From
+    the origin the vector is x1 and the exponential is not taken.
     """
     if spec.n != sys.n:
         raise DimensionError(
             f"transfer endpoints have length {spec.n}, system has n={sys.n}"
         )
+    if not spec.x0.any():
+        return spec.x1.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         v = spec.x1 - mat_exp(sys.a, spec.t1 - spec.t0) @ spec.x0
     # A non-finite entry of the exponential turns its row of v into inf or
@@ -542,7 +505,6 @@ def _subset_residuals(
     still to extend, which holds at most n + 1 accumulators.
     """
     n = sys.n
-    cache = sys._closures
     nv2 = float(v @ v)
     root = _ReachAccumulator(sys)
     yield 0, nv2 - root.project_norm_sq(v)
@@ -554,7 +516,7 @@ def _subset_residuals(
             continue
         stack.append((acc, mask, size, i0 + 1))
         child = acc.copy()
-        child.include(i0, cache)
+        child.include(i0)
         child_mask = mask | 1 << i0
         yield child_mask, nv2 - child.project_norm_sq(v)
         stack.append((child, child_mask, size + 1, i0 + 1))

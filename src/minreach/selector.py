@@ -5,7 +5,6 @@ oracles used for verification.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -94,11 +93,10 @@ class _GreedyPath:
     ``{res!r}`` for the last residual.
     """
 
-    __slots__ = ("v", "cache", "acc", "taken", "chosen", "residuals", "stuck")
+    __slots__ = ("v", "acc", "taken", "chosen", "residuals", "stuck")
 
     def __init__(self, sys: LtiSystem, v: np.ndarray):
         self.v = v
-        self.cache = sys._closures
         self.acc = _ReachAccumulator(sys)
         self.taken = [False] * sys.n
         self.chosen: list[int] = []
@@ -133,7 +131,6 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
     lower the residual, records why in ``path.stuck`` and stops.
     """
     v = path.v
-    cache = path.cache
     taken = path.taken
     n = len(taken)
     acc = path.acc
@@ -142,7 +139,7 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
         best_i0, best_acc = -1, None
         if len(path.chosen) < n:
             candidates = [i0 for i0 in range(n) if not taken[i0]]
-            best_i0, best_acc = acc.best_extension(candidates, cache, v)
+            best_i0, best_acc = acc.best_extension(candidates, v)
         if best_acc is None:
             path.stuck = (
                 "no candidate reduces the residual below {eps!r}; "
@@ -177,7 +174,7 @@ def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]
     toward the smallest index. The threshold is absolute (same units as
     ``||v||^2``). The run is the prefix, up to the first residual at most
     `eps`, of the one greedy path for `v`; closures come from the system's
-    shared cache.
+    closure table, built once per system.
 
     Returns the selected set and the pick-by-pick trace.
     """
@@ -272,8 +269,8 @@ def subset_reach(
     Runs the greedy selection once per ball (center as target, squared
     radius as threshold) and returns the smallest resulting set together
     with the 1-based index of its ball; ties go to the smallest index.
-    Every ball's run reads closures from the system's one shared cache, so
-    each index's closure is built at most once across all balls.
+    Every ball's run reads closures from the system's one closure table, so
+    each index's closure is built once across all balls.
     """
     balls = list(balls)
     if not balls:
@@ -329,10 +326,6 @@ def brute_force_opt(
     return None
 
 
-def _uncovered(sets: list[frozenset[int]], hit: set[int]) -> list[frozenset[int]]:
-    return [s for s in sets if not s & hit]
-
-
 def _disjoint_lower_bound(uncovered: list[frozenset[int]]) -> int:
     # Any family of pairwise disjoint uncovered sets needs one distinct
     # element each, so its size lower-bounds the remaining picks.
@@ -348,34 +341,38 @@ def _disjoint_lower_bound(uncovered: list[frozenset[int]]) -> int:
 def min_hitting_set(instance: "HittingSetInstance") -> tuple[int, ...]:
     """Exact minimum hitting set of the instance, as a sorted index tuple.
 
-    Branch and bound on the elements of the first uncovered set, pruned by
-    a pairwise-disjoint lower bound; among all minimum-cardinality hitting
-    sets the lexicographically smallest is returned.
+    Branch and bound over the elements 1..m in order, each taken before it
+    is skipped, so the hitting sets of one size are met in lexicographic
+    order; the first one met at each strictly smaller size is kept, and the
+    last one kept is the lexicographically smallest minimum hitting set. An
+    element is taken only when it hits a set still uncovered, and skipped
+    only when every uncovered set keeps a larger element. A branch ends
+    when the pairwise-disjoint lower bound shows it cannot do better.
     """
     sets = [frozenset(s) for s in instance.sets]
-    m = instance.m
     if not sets:
         raise InputError("instance has no sets to hit")
+    top = {s: max(s) for s in sets}
+    # Every set is non-empty, so the whole universe hits them all.
+    best = tuple(range(1, instance.m + 1))
+    hit: list[int] = []
 
-    best_size = m + 1
-
-    def descend(hit: set[int], uncovered: list[frozenset[int]]) -> None:
-        nonlocal best_size
+    def descend(start: int, uncovered: list[frozenset[int]]) -> None:
+        nonlocal best
         if not uncovered:
-            best_size = min(best_size, len(hit))
+            best = tuple(hit)
             return
-        if len(hit) + _disjoint_lower_bound(uncovered) >= best_size:
-            return
-        branch_set = uncovered[0]
-        for element in sorted(branch_set):
-            hit.add(element)
-            descend(hit, [s for s in uncovered if element not in s])
-            hit.remove(element)
+        bound = len(hit) + _disjoint_lower_bound(uncovered)
+        for element in range(start, instance.m + 1):
+            if bound >= len(best):
+                return
+            rest = [s for s in uncovered if element not in s]
+            if len(rest) < len(uncovered):
+                hit.append(element)
+                descend(element + 1, rest)
+                hit.pop()
+            if any(top[s] == element for s in uncovered):
+                return
 
-    descend(set(), sets)
-
-    for combo in itertools.combinations(range(1, m + 1), best_size):
-        members = set(combo)
-        if all(s & members for s in sets):
-            return tuple(combo)
-    raise AssertionError("branch and bound found no realizable optimum")
+    descend(1, sets)
+    return best

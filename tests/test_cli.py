@@ -235,6 +235,19 @@ class TestReach:
         assert "exp(A (t1 - t0))" in proc.stderr
         assert "overflow" in proc.stderr
 
+    def test_transfer_from_the_origin_ignores_an_overflowing_window(self, tmp_path):
+        # From x0 = 0 the transfer vector is x1 whatever exp(A * 2000) is.
+        path = tmp_path / "er.json"
+        assert run_cli(["gen", "er", "30", "1", "--out", str(path)])[0] == 0
+        ones = ",".join(["1"] * 30)
+        argv = ["reach", str(path), "--x1", ones, "--t1", "2000", "--eps", "1"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        _, short, _ = run_cli(["reach", str(path), "--x1", ones, "--eps", "1"])
+        report, expected = parse_report(out), parse_report(short)
+        del report["wall_time_ms"], expected["wall_time_ms"]
+        assert report == expected
+
 
 class TestSubsetReach:
     def test_single_origin_ball(self, tmp_path):

@@ -277,6 +277,21 @@ class TestSpanStack:
             for builder, single in zip(stack.builders, singles):
                 assert same_builder(builder, single)
 
+    def test_masked_add_leaves_unselected_builders_alone(self):
+        rng = np.random.default_rng(7)
+        for take in ([True, False, True, True], [False] * 4, [True] * 4):
+            stack, singles = self.seeded(rng, 4, 6, [2] * 4)
+            cols = rng.standard_normal((4, 6))
+            cols[~np.array(take)] = np.nan
+            added, batch = stack.add(cols, np.array(take))
+            expected = [s.add(c) if t else None for s, c, t in zip(singles, cols, take)]
+            assert [d is None for d in added] == [d is None for d in expected]
+            for d, e in zip(added, expected):
+                assert d is None or np.array_equal(d, e)
+            for builder, single in zip(stack.builders, singles):
+                assert same_builder(builder, single)
+            assert (batch is None) == (not all(take))
+
     def test_full_spans_fail_on_a_column_outside_them_as_one_builder_does(self):
         rng = np.random.default_rng(6)
         stack, singles = self.seeded(rng, 3, 4, [4, 4, 4])

@@ -384,13 +384,13 @@ def scalar_closure(a, i0):
     return builder
 
 
-def scalar_best_extension(acc, indices, cache, v):
+def scalar_best_extension(acc, indices, v):
     """One copy and include per index, gains summed in Python floats."""
     best_gain, best = 0.0, (-1, None)
     for i0 in indices:
         trial = acc.copy()
         gain = 0.0
-        for direction in trial.include(i0, cache):
+        for direction in trial.include(i0):
             dot = float(direction @ v)
             gain += dot * dot
         if gain > best_gain:
@@ -436,15 +436,14 @@ class TestBatchedClosuresAndExtensions:
         monkeypatch.setattr(reachcore, "_STACK_BYTES", 8 * 40 * 40 * 3)
         rng = np.random.default_rng(77)
         for sys_ in self.systems():
-            cache = sys_._closures
             v = rng.standard_normal(sys_.output_dim)
             acc = reachcore._ReachAccumulator(sys_)
             for start in ([], [int(rng.integers(sys_.n))]):
                 for i0 in start:
-                    acc.include(i0, cache)
+                    acc.include(i0)
                 indices = [i0 for i0 in range(sys_.n) if i0 not in start]
-                got_i0, got = acc.best_extension(indices, cache, v)
-                want_i0, want = scalar_best_extension(acc, indices, cache, v)
+                got_i0, got = acc.best_extension(indices, v)
+                want_i0, want = scalar_best_extension(acc, indices, v)
                 assert got_i0 == want_i0
                 if want is not None:
                     assert same_span(got.state, want.state)

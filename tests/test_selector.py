@@ -14,6 +14,7 @@ from conftest import random_actuators, random_system
 from minreach import (
     EPS_FLOOR_REL,
     EXACT_TOL,
+    ActuatorSet,
     Ball,
     CapacityError,
     GreedyTrace,
@@ -27,9 +28,11 @@ from minreach import (
     epsilon_a,
     erdos_renyi,
     greedy_eps,
+    is_controllable,
     is_feasible,
     min_hitting_set,
     random_target,
+    reachable_subspace,
     residual,
     star,
     subset_reach,
@@ -354,6 +357,28 @@ class TestSharedClosureCache:
             assert 0 < len(built) <= n
             assert len(set(built)) == len(built)
 
+    def test_every_call_shares_one_closure_table(self, monkeypatch):
+        built = []
+        build = reachcore._index_closures
+
+        def counting(a, indices):
+            built.extend(indices)
+            return build(a, indices)
+
+        monkeypatch.setattr(reachcore, "_index_closures", counting)
+        n = 12
+        sys_ = LtiSystem(erdos_renyi(n, 3).a, np.eye(n))
+        v = random_target(n, 3)
+        delta = ActuatorSet(n, (2, 5))
+        greedy_eps(sys_, v, 0.1)
+        bisection_exact(sys_, v, 1e-3)
+        subset_reach(sys_, [Ball(v, 0.5), Ball(-v, 0.05)])
+        residual(sys_, delta, v)
+        is_feasible(sys_, delta, v)
+        reachable_subspace(sys_, delta)
+        is_controllable(sys_, delta)
+        assert sorted(built) == list(range(n))
+
     def test_system_is_freed_without_the_cycle_collector(self):
         sys_ = erdos_renyi(20, 5)
         v = random_target(20, 5)
@@ -408,12 +433,11 @@ class TestBruteForceOpt:
 def combinations_oracle(sys_, v, eps, k_max):
     """Reference for brute_force_opt: every combination by size, then in
     lexicographic order, each folded into a fresh accumulator."""
-    cache = sys_._closures
     for k in range(k_max + 1):
         for combo in itertools.combinations(range(sys_.n), k):
             acc = _ReachAccumulator(sys_)
             for i0 in combo:
-                acc.include(i0, cache)
+                acc.include(i0)
             if acc.residual_sq(v) <= eps:
                 return tuple(i0 + 1 for i0 in combo)
     return None
@@ -422,13 +446,12 @@ def combinations_oracle(sys_, v, eps, k_max):
 def per_mask_epsilon_a(sys_, v):
     """Reference for epsilon_a: every subset folded into a fresh accumulator."""
     n = sys_.n
-    cache = sys_._closures
     res = []
     for mask in range(1 << n):
         acc = _ReachAccumulator(sys_)
         for i0 in range(n):
             if mask >> i0 & 1:
-                acc.include(i0, cache)
+                acc.include(i0)
         res.append(acc.residual_sq(v))
     tol = EXACT_TOL * float(v @ v)
     return min(
@@ -530,6 +553,13 @@ class TestMinHittingSet:
         for _ in range(60):
             instance = random_instance(rng)
             assert min_hitting_set(instance) == exhaustive_hitting_set(instance)
+
+    def test_disjoint_triples_return_at_once(self):
+        instance = HittingSetInstance(
+            m=30, sets=tuple((j, j + 1, j + 2) for j in range(1, 31, 3))
+        )
+        got = within_seconds(3, lambda: min_hitting_set(instance))
+        assert got == tuple(range(1, 29, 3))
 
     def test_result_hits_every_set(self):
         rng = np.random.default_rng(157)
