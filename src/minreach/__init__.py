@@ -52,6 +52,7 @@ from .reductions import (
 )
 from .selector import (
     EPS_FLOOR_REL,
+    TIE_BAND_REL,
     Ball,
     GreedyTrace,
     bisection_exact,
@@ -83,6 +84,7 @@ __all__ = [
     "OrthoBasis",
     "RANK_TOL",
     "ReductionReport",
+    "TIE_BAND_REL",
     "TransferSpec",
     "UnsupportedOperationError",
     "as_matrix",

@@ -151,11 +151,12 @@ class _SpanBuilder:
         accepted, so held views stay valid across later additions."""
         return self._q[:, k]
 
-    def add(self, col: np.ndarray) -> np.ndarray | None:
+    def add(self, col: np.ndarray, tol: float | None = None) -> np.ndarray | None:
         """Try to extend the span with `col`.
 
         Returns the newly accepted unit direction, or None when the
-        column is absorbed into the existing span.
+        column is absorbed into the existing span: when its residual norm
+        is at most `tol`, by default ``RANK_TOL * (1 + ||col||)``.
         """
         norm0 = _norm(col)
         if norm0 == 0.0:
@@ -171,7 +172,7 @@ class _SpanBuilder:
         else:
             # Projecting onto the zero subspace subtracts exact zeros.
             w, norm_w = col, norm0
-        if norm_w <= RANK_TOL * (1.0 + norm0):
+        if norm_w <= (RANK_TOL * (1.0 + norm0) if tol is None else tol):
             return None
         out = self._q[:, r]
         np.divide(w, norm_w, out=out)
@@ -213,19 +214,7 @@ class _SpanStack:
         self.q = np.empty((m, dim, dim))
         self.builders = [_SpanBuilder._on(self.q[k]) for k in range(m)]
 
-    @classmethod
-    def copies(cls, builder: _SpanBuilder, m: int) -> "_SpanStack":
-        """`m` builders, each a copy of `builder`."""
-        stack = cls(m, builder.dim)
-        r = builder._r
-        stack.q[:, :, :r] = builder._q[:, :r]
-        for copy in stack.builders:
-            copy._r = r
-        return stack
-
-    def add(
-        self, cols: np.ndarray, take=None
-    ) -> tuple[list[np.ndarray | None], np.ndarray | None]:
+    def add(self, cols: np.ndarray, take=None) -> list[np.ndarray | None]:
         """Add ``cols[k]`` to ``builders[k]`` for every k that `take`
         selects (every k when `take` is None); ``cols[k]`` of the others is
         never read.
@@ -233,17 +222,14 @@ class _SpanStack:
         BLAS results depend on a vector's stride, so ``cols[k]`` must be
         laid out like the column a caller would pass to one builder.
         Returns what each ``builders[k].add(cols[k])`` returns, None for
-        the builders not selected, and, when every builder accepted its
-        column at the same position, those columns as one ``(m, dim)`` view.
+        the builders not selected.
         """
         builders = self.builders
         if take is None:
             take = [True] * len(builders)
         r = builders[0]._r
         if len(builders) == 1 or not all(take) or any(b._r != r for b in builders):
-            return [
-                b.add(col) if t else None for b, col, t in zip(builders, cols, take)
-            ], None
+            return [b.add(col) if t else None for b, col, t in zip(builders, cols, take)]
         # _norm's ravel copies strided rows; its dot runs on the copies.
         norm0 = np.sqrt(_dots(np.ascontiguousarray(cols)))
         if r:
@@ -260,8 +246,8 @@ class _SpanStack:
         if r == self.q.shape[1]:
             if accept.any():
                 # No room for the column: fail as the single builder fails.
-                return [b.add(col) for b, col in zip(builders, cols)], None
-            return [None] * len(builders), None
+                return [b.add(col) for b, col in zip(builders, cols)]
+            return [None] * len(builders)
         if accept.all():
             np.divide(w, norm_w[:, None], out=self.q[:, :, r])
         else:
@@ -273,7 +259,7 @@ class _SpanStack:
                 out.append(builder._q[:, r])
             else:
                 out.append(None)
-        return out, (self.q[:, :, r] if accept.all() else None)
+        return out
 
 
 class OrthoBasis:

@@ -102,6 +102,27 @@ class LtiSystem:
             for closure in _index_closures(self.a, indices[start : start + step])
         )
 
+    @cached_property
+    def _output_closures(self) -> tuple[_SpanBuilder, ...]:
+        """The span W C_i of every 0-based index's closure C_i, in the output
+        space: the closures themselves without an output weight, else built
+        on first use in batches of _STACK_BYTES. Treat as read-only."""
+        if self.w is None:
+            return self._closures
+        # Step k adds w times column k of every closure in a batch.
+        q = self.output_dim
+        step = max(1, _STACK_BYTES // (8 * q * max(q, self.n)))
+        bases: list[_SpanBuilder] = []
+        for start in range(0, self.n, step):
+            batch = self._closures[start : start + step]
+            ranks = [c.rank for c in batch]
+            stack = _SpanStack(len(batch), q)
+            for k in range(max(ranks)):
+                cols = np.stack([c._q[:, k] for c in batch], axis=1)
+                stack.add((self.w @ cols).T, [k < rank for rank in ranks])
+            bases += stack.builders
+        return tuple(bases)
+
 
 @dataclass(frozen=True)
 class ActuatorSet:
@@ -223,9 +244,9 @@ def _check_actuators(sys: LtiSystem, delta: ActuatorSet) -> None:
         )
 
 
-#: Size in bytes of the span stacks that closures are built in, and that
-#: greedy trials are folded in, a batch of indices at a time. Larger
-#: batches run fewer numpy calls but hold more memory at once.
+#: Size in bytes of the span stacks that closures and their output images
+#: are built in, a batch of indices at a time. Larger batches run fewer
+#: numpy calls but hold more memory at once.
 _STACK_BYTES = 1 << 20
 
 
@@ -259,9 +280,9 @@ class _ReachAccumulator:
 
     Maintains a state-space span (where invariance lives) and, when the
     system carries an output weight, a parallel output-space span that
-    projections and gains are measured in. The greedy scores candidates
-    with :meth:`best_extension`; copies serve the exhaustive subset walk,
-    which extends a copy of each subset's prefix.
+    projections and gains are measured in. Copies serve the greedy, which
+    folds its winner into a copy, and the exhaustive subset walk, which
+    extends a copy of each subset's prefix.
     """
 
     __slots__ = ("sys", "state", "out")
@@ -277,88 +298,6 @@ class _ReachAccumulator:
         other.state = self.state.copy()
         other.out = None if self.out is None else self.out.copy()
         return other
-
-    def best_extension(
-        self, indices: list[int], v: np.ndarray
-    ) -> tuple[int, "_ReachAccumulator | None"]:
-        """The index of `indices` whose closure gains the most for `v`.
-
-        The gain of index i0 is what ``trial = self.copy()`` followed by
-        ``sum(float(d @ v) ** 2 for d in trial.include(i0))`` gives,
-        to the bit. Returns the first index (in the order given) with the
-        largest positive gain and its trial, or ``(-1, None)`` when no gain
-        is positive.
-
-        The trials of a batch of indices (_STACK_BYTES worth) share span
-        stacks and fold column k of their closures together, so steps at
-        which all of them have the same rank run batched.
-        """
-        closures = self.sys._closures
-        n = self.sys.n
-        size = 8 * (n * n + (0 if self.out is None else self.out.dim ** 2))
-        step = max(1, _STACK_BYTES // size)
-        # Closure columns are strided views; the columns of an (n, n)
-        # buffer have the same stride, which BLAS results depend on.
-        cols = np.empty((n, n))
-        best_gain = 0.0
-        best: tuple[int, _ReachAccumulator | None] = (-1, None)
-        for start in range(0, len(indices), step):
-            chunk = indices[start : start + step]
-            state = _SpanStack.copies(self.state, len(chunk))
-            out = None if self.out is None else _SpanStack.copies(self.out, len(chunk))
-            sources = [closures[i0] for i0 in chunk]
-            gains = self._fold_gains(state, out, sources, cols, v)
-            for c, gain in enumerate(gains):
-                # Strict comparison in index order: ties go to the first.
-                if gain > best_gain:
-                    best_gain = gain
-                    trial = _ReachAccumulator.__new__(_ReachAccumulator)
-                    trial.sys = self.sys
-                    trial.state = state.builders[c].copy()
-                    trial.out = None if out is None else out.builders[c].copy()
-                    best = (chunk[c], trial)
-            # Free this chunk's stacks before the next chunk allocates its own.
-            del state, out
-        return best
-
-    def _fold_gains(
-        self,
-        state: _SpanStack,
-        out: _SpanStack | None,
-        sources: list[_SpanBuilder],
-        cols: np.ndarray,
-        v: np.ndarray,
-    ) -> list[float]:
-        """Fold ``sources[c]`` into trial c of `state` (and `out`), column
-        by column, and return each trial's gain for `v`."""
-        w = self.sys.w
-        m = len(sources)
-        gains = np.zeros(m)
-        ranks = [src.rank for src in sources]
-        for k in range(max(ranks)):
-            live = [k < rank for rank in ranks]
-            for c, src in enumerate(sources):
-                if live[c]:
-                    cols[:, c] = src.column(k)
-            added, batch = state.add(cols[:, :m].T, live)
-            if out is not None:
-                if batch is not None:
-                    added, batch = out.add((w @ batch[:, :, None])[:, :, 0])
-                else:
-                    added = [
-                        None if d is None else b.add(w @ d)
-                        for b, d in zip(out.builders, added)
-                    ]
-            if batch is not None:
-                vs = np.broadcast_to(v[:, None], (m, v.shape[0], 1))
-                dots = (batch[:, None, :] @ vs)[:, 0, 0]
-                gains += dots * dots
-            else:
-                for c, d in enumerate(added):
-                    if d is not None:
-                        dot = float(d @ v)
-                        gains[c] += dot * dot
-        return gains.tolist()
 
     def include(self, i0: int) -> list[np.ndarray]:
         """Fold in the closure of 0-based index `i0`.

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalInfeasibilityError
-from .numkit import as_vector
+from .numkit import RANK_TOL, _SpanBuilder, as_vector
 from .reachcore import (
     EXACT_TOL,
     N_BRUTE,
@@ -29,6 +29,10 @@ if TYPE_CHECKING:
 #: The bisection never probes a squared-residual target below
 #: EPS_FLOOR_REL * ||v||^2; tighter demands are not resolvable in float64.
 EPS_FLOOR_REL = 1e-12
+
+#: Greedy gains within TIE_BAND_REL * n * ||v||^2 of the largest gain tie
+#: (four ulps of ||v||^2 per state), and ties go to the smallest index.
+TIE_BAND_REL = 4 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -85,22 +89,36 @@ class _GreedyPath:
     The greedy picks the same index at every step whatever the threshold
     is; the threshold only decides where a run stops. Every greedy run for
     target `v` is therefore a prefix of one pick sequence, and this object
-    holds the part computed so far: the accumulator, the taken indices, the
-    0-based picks and the residual trace (position 0 is ``||v||^2``).
+    holds the part computed so far: the accumulator, the 0-based picks and
+    the residual trace (position 0 is ``||v||^2``).
+
+    Each candidate i has a residual closure ``bases[i] = (z, s)``: an
+    orthonormal basis z of the part of i's closure outside the state span
+    reached so far, and the norm s[j] that closure column j keeps outside
+    it. ``scores[i]`` is the gain for `v` of folding i in. Bases start as
+    views of the system's closure table, the first scores come from its
+    ``_output_closures``, and the last pick's new state directions wait in
+    ``fresh``.
 
     When the sequence cannot continue, ``stuck`` holds the message, with
     ``{eps!r}`` standing for the threshold of the query that meets it and
     ``{res!r}`` for the last residual.
     """
 
-    __slots__ = ("v", "acc", "taken", "chosen", "residuals", "stuck")
+    __slots__ = ("v", "band", "acc", "bases", "scores", "fresh", "chosen",
+                 "residuals", "stuck")
 
     def __init__(self, sys: LtiSystem, v: np.ndarray):
         self.v = v
         self.acc = _ReachAccumulator(sys)
-        self.taken = [False] * sys.n
         self.chosen: list[int] = []
         self.residuals = [float(v @ v)]
+        self.band = TIE_BAND_REL * sys.n * self.residuals[0]
+        self.bases = {i0: (c._q[:, : c.rank], np.ones(c.rank))
+                      for i0, c in enumerate(sys._closures)}
+        self.scores = {i0: b.project_norm_sq(v)
+                       for i0, b in enumerate(sys._output_closures)}
+        self.fresh: np.ndarray | None = None
         self.stuck: str | None = None
 
     def prefix(self, eps: float) -> tuple[list[int], list[float]]:
@@ -121,38 +139,90 @@ class _GreedyPath:
         k = next(k for k, res in enumerate(self.residuals) if res <= eps)
         return self.chosen[:k], self.residuals[: k + 1]
 
+    def absorb_fresh(self) -> None:
+        """Take the last pick's new state directions D out of every residual
+        closure that overlaps them, by _SpanBuilder.add on a builder
+        prefilled with D, and rescore. A column is absorbed when a fold
+        would absorb its unit closure column, at 2 * RANK_TOL; a closure
+        with every column absorbed leaves the candidates."""
+        d, self.fresh = self.fresh, None
+        if d is None:
+            return
+        acc, bases, scores = self.acc, self.bases, self.scores
+        q = acc.output_builder._q[:, : acc.output_builder.rank]
+        # Renormalising a column that lost most of its norm magnifies its
+        # rounding in reached directions, which the residual of v is not in.
+        r = self.v - q @ (q.T @ self.v)
+        t = d.shape[1]
+        builder = _SpanBuilder(d.shape[0])
+        builder._q[:, :t] = d
+        for i0, (z, s) in list(bases.items()):
+            if not (d.T @ z).any():
+                continue
+            builder._r = t
+            kept = []
+            for j in range(z.shape[1]):
+                u = builder.add(z[:, j], tol=2.0 * RANK_TOL / s[j])
+                if u is not None:
+                    kept.append(s[j] * float(u @ z[:, j]))
+            if not kept:
+                del bases[i0], scores[i0]
+                continue
+            z = builder._q[:, t : builder.rank].copy()
+            bases[i0] = (z, np.array(kept))
+            if acc.out is None:
+                scores[i0] = _score(z, r)
+        if acc.out is not None:
+            # The output span grew: fold every W-image into it again.
+            out, o = _SpanBuilder(acc.out.dim), acc.out.rank
+            out._q[:, :o] = acc.out._q[:, :o]
+            for i0, (z, _) in bases.items():
+                out._r = o
+                for col in (acc.sys.w @ z).T:
+                    out.add(col)
+                scores[i0] = _score(out._q[:, o : out.rank], r)
+
+
+def _score(z: np.ndarray, v: np.ndarray) -> float:
+    """Squared norm of `v` projected on the orthonormal columns `z`."""
+    c = z.T @ v
+    return float(c @ c)
+
 
 def _greedy_core(path: _GreedyPath, eps: float) -> None:
     """Extend `path` until its residual is at most `eps` or it is stuck.
 
-    Each step adds the index whose closure gives the largest projected-norm
-    gain for the target, breaking ties toward the smallest index. A step
-    that finds no candidate with positive gain, or whose pick does not
-    lower the residual, records why in ``path.stuck`` and stops.
+    Each step picks the smallest index whose score is positive and within
+    ``path.band`` of the largest score, and folds it into a copy of the
+    accumulator. The fold judges the pick: one that does not lower the
+    residual leaves the candidates, and the step picks again. With no
+    positive score left, the path records why in ``path.stuck``.
     """
     v = path.v
-    taken = path.taken
-    n = len(taken)
-    acc = path.acc
+    scores = path.scores
     res = path.residuals[-1]
     while res > eps:
-        best_i0, best_acc = -1, None
-        if len(path.chosen) < n:
-            candidates = [i0 for i0 in range(n) if not taken[i0]]
-            best_i0, best_acc = acc.best_extension(candidates, v)
-        if best_acc is None:
-            path.stuck = (
-                "no candidate reduces the residual below {eps!r}; "
-                "stuck at squared residual {res!r}"
-            )
-            return
-        new_res = best_acc.residual_sq(v)
-        if not new_res < res:
-            path.stuck = "residual stopped decreasing at {res!r} with target {eps!r}"
-            return
-        acc = path.acc = best_acc
-        taken[best_i0] = True
-        path.chosen.append(best_i0)
+        path.absorb_fresh()
+        while True:
+            positive = [(i0, s) for i0, s in scores.items() if s > 0.0]
+            if not positive:
+                path.stuck = (
+                    "no candidate reduces the residual below {eps!r}; "
+                    "stuck at squared residual {res!r}"
+                )
+                return
+            floor = max(s for _, s in positive) - path.band
+            # scores keeps index order, so this is the smallest such index.
+            pick = next(i0 for i0, s in positive if s >= floor)
+            trial = path.acc.copy()
+            trial.include(pick)
+            new_res = trial.residual_sq(v)
+            del path.bases[pick], scores[pick]
+            if new_res < res:
+                break
+        path.fresh = trial.state._q[:, path.acc.state.rank : trial.state.rank]
+        path.acc = trial
+        path.chosen.append(pick)
         res = new_res
         path.residuals.append(res)
 
@@ -170,8 +240,9 @@ def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]
     """Greedily select actuators until the squared residual is at most `eps`.
 
     Starting from the empty set, each step adds the index whose reachable
-    directions give the largest projected-norm gain for `v`, breaking ties
-    toward the smallest index. The threshold is absolute (same units as
+    directions give the largest projected-norm gain for `v`. Gains within
+    ``TIE_BAND_REL * n * ||v||^2`` of the largest tie, and ties go to the
+    smallest index. The threshold is absolute (same units as
     ``||v||^2``). The run is the prefix, up to the first residual at most
     `eps`, of the one greedy path for `v`; closures come from the system's
     closure table, built once per system.

@@ -244,7 +244,7 @@ class TestSpanStack:
             cols[0] = 0.0
             if rank:
                 cols[1] = stack.builders[1]._q[:, :rank] @ rng.standard_normal(rank)
-            added, batch = stack.add(cols)
+            added = stack.add(cols)
             expected = [single.add(col) for single, col in zip(singles, cols)]
             assert [d is None for d in added] == [d is None for d in expected]
             assert added[0] is None
@@ -253,16 +253,16 @@ class TestSpanStack:
                 assert d is None or np.array_equal(d, e)
             for builder, single in zip(stack.builders, singles):
                 assert same_builder(builder, single)
-            assert batch is None
 
     def test_batch_view_when_every_column_is_accepted(self):
         rng = np.random.default_rng(4)
         stack, singles = self.seeded(rng, 5, 9, [3] * 5)
         cols = rng.standard_normal((5, 9))
-        added, batch = stack.add(cols)
-        assert np.array_equal(batch, np.array(added))
-        for builder, single, col in zip(stack.builders, singles, cols):
-            single.add(col)
+        added = stack.add(cols)
+        # Each accepted column is a view of its item of the shared array.
+        assert np.array_equal(stack.q[:, :, 3], np.array(added))
+        for builder, single, col, d in zip(stack.builders, singles, cols, added):
+            assert np.array_equal(d, single.add(col))
             assert same_builder(builder, single)
 
     def test_unequal_and_full_ranks_match_single_adds(self):
@@ -270,9 +270,8 @@ class TestSpanStack:
         for ranks in ([1, 2, 3], [4, 4, 4]):
             stack, singles = self.seeded(rng, 3, 4, ranks)
             cols = rng.standard_normal((3, 4))
-            added, batch = stack.add(cols)
+            added = stack.add(cols)
             expected = [single.add(col) for single, col in zip(singles, cols)]
-            assert batch is None
             assert [d is None for d in added] == [d is None for d in expected]
             for builder, single in zip(stack.builders, singles):
                 assert same_builder(builder, single)
@@ -283,14 +282,13 @@ class TestSpanStack:
             stack, singles = self.seeded(rng, 4, 6, [2] * 4)
             cols = rng.standard_normal((4, 6))
             cols[~np.array(take)] = np.nan
-            added, batch = stack.add(cols, np.array(take))
+            added = stack.add(cols, np.array(take))
             expected = [s.add(c) if t else None for s, c, t in zip(singles, cols, take)]
             assert [d is None for d in added] == [d is None for d in expected]
             for d, e in zip(added, expected):
                 assert d is None or np.array_equal(d, e)
             for builder, single in zip(stack.builders, singles):
                 assert same_builder(builder, single)
-            assert (batch is None) == (not all(take))
 
     def test_full_spans_fail_on_a_column_outside_them_as_one_builder_does(self):
         rng = np.random.default_rng(6)

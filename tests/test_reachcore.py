@@ -16,9 +16,11 @@ from minreach import (
     EXACT_TOL,
     InputError,
     LtiSystem,
+    TIE_BAND_REL,
     TransferSpec,
     UnsupportedOperationError,
     epsilon_a,
+    erdos_renyi,
     is_controllable,
     is_feasible,
     reachable_subspace,
@@ -28,6 +30,7 @@ from minreach import (
 )
 from minreach import reachcore
 from minreach.numkit import _SpanBuilder
+from minreach.selector import _GreedyPath, _greedy_core
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
 
@@ -384,18 +387,54 @@ def scalar_closure(a, i0):
     return builder
 
 
-def scalar_best_extension(acc, indices, v):
-    """One copy and include per index, gains summed in Python floats."""
-    best_gain, best = 0.0, (-1, None)
+def scalar_best_extension(acc, indices, v, band=0.0):
+    """One copy and include per index, gains summed in Python floats.
+    Returns the first index whose gain is positive and within `band` of
+    the largest gain, with its trial, or (-1, None) when no gain is
+    positive."""
+    trials = {}
     for i0 in indices:
         trial = acc.copy()
         gain = 0.0
         for direction in trial.include(i0):
             dot = float(direction @ v)
             gain += dot * dot
-        if gain > best_gain:
-            best_gain, best = gain, (i0, trial)
-    return best
+        if gain > 0.0:
+            trials[i0] = (gain, trial)
+    if not trials:
+        return -1, None
+    top = max(gain for gain, _ in trials.values())
+    return next((i0, trial) for i0, (gain, trial) in trials.items() if gain >= top - band)
+
+
+def fold_greedy(sys_, v, eps):
+    """The greedy by trial folds: at each step scalar_best_extension with
+    the tie band, the winner's fold judging it as _greedy_core does (a
+    winner that does not lower the residual leaves the candidates).
+    Returns the 0-based picks, the residual trace and whether it stuck."""
+    band = TIE_BAND_REL * sys_.n * float(v @ v)
+    acc = reachcore._ReachAccumulator(sys_)
+    offered = list(range(sys_.n))
+    picks, residuals = [], [float(v @ v)]
+    while residuals[-1] > eps:
+        i0, trial = scalar_best_extension(acc, offered, v, band)
+        if trial is None:
+            return picks, residuals, True
+        offered.remove(i0)
+        res = trial.residual_sq(v)
+        if res < residuals[-1]:
+            acc = trial
+            picks.append(i0)
+            residuals.append(res)
+    return picks, residuals, False
+
+
+def residual_closure_greedy(sys_, v, eps):
+    """The package's greedy path for `v` grown down to `eps`, in the form
+    fold_greedy returns."""
+    path = _GreedyPath(sys_, v)
+    _greedy_core(path, eps)
+    return path.chosen, path.residuals, path.stuck is not None
 
 
 def same_span(x, y):
@@ -413,8 +452,9 @@ def block_diagonal(rng, sizes):
 
 
 class TestBatchedClosuresAndExtensions:
-    """Batched closure builds and candidate folds give the one-at-a-time
-    results to the bit, on spans of equal and of unequal ranks."""
+    """Batched closure builds give the one-at-a-time results to the bit,
+    on spans of equal and of unequal ranks, and the greedy's
+    residual-closure gains pick what trial folds pick."""
 
     def systems(self):
         rng = np.random.default_rng(2024)
@@ -431,21 +471,58 @@ class TestBatchedClosuresAndExtensions:
             for i0, built in zip(indices, reachcore._index_closures(sys_.a, indices)):
                 assert same_span(built, scalar_closure(sys_.a, i0))
 
-    def test_best_extension_matches_copy_and_include(self, monkeypatch):
-        # A small stack budget also exercises several chunks per call.
-        monkeypatch.setattr(reachcore, "_STACK_BYTES", 8 * 40 * 40 * 3)
+    def test_picks_match_fold_gains_with_the_tie_band(self):
         rng = np.random.default_rng(77)
+        steps = 0
         for sys_ in self.systems():
             v = rng.standard_normal(sys_.output_dim)
-            acc = reachcore._ReachAccumulator(sys_)
-            for start in ([], [int(rng.integers(sys_.n))]):
-                for i0 in start:
-                    acc.include(i0)
-                indices = [i0 for i0 in range(sys_.n) if i0 not in start]
-                got_i0, got = acc.best_extension(indices, v)
-                want_i0, want = scalar_best_extension(acc, indices, v)
-                assert got_i0 == want_i0
-                if want is not None:
-                    assert same_span(got.state, want.state)
-                    assert (got.out is None) == (want.out is None)
-                    assert got.out is None or same_span(got.out, want.out)
+            eps = 1e-12 * float(v @ v)
+            got = residual_closure_greedy(sys_, v, eps)
+            assert got == fold_greedy(sys_, v, eps)
+            steps += len(got[0])
+        assert steps > 2 * len(list(self.systems()))
+
+    def test_residual_traces_match_the_fold_greedy_bit_for_bit(self):
+        rng = np.random.default_rng(503)
+        weighted_wide = stuck = 0
+        for case in range(520):
+            n = int(rng.integers(3, 11))
+            kind = case % 4
+            if kind == 0:
+                a = erdos_renyi(n, case).a
+            elif kind == 1:
+                a = block_diagonal(rng, [1 + k % 3 for k in range(n // 2)])
+            else:
+                a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.25)
+            w = None
+            if kind == 3:
+                w = rng.standard_normal((int(rng.integers(1, a.shape[0] + 4)), a.shape[0]))
+                weighted_wide += w.shape[0] > w.shape[1]
+            sys_ = LtiSystem(a, w)
+            v = rng.standard_normal(sys_.output_dim)
+            eps = float(10.0 ** rng.uniform(-14, -1)) * float(v @ v)
+            got = residual_closure_greedy(sys_, v, eps)
+            assert got == fold_greedy(sys_, v, eps)
+            stuck += got[2]
+        assert weighted_wide >= 30
+        assert stuck >= 10
+
+    def test_the_fold_judges_a_pick_that_cannot_lower_the_residual(self, monkeypatch):
+        # After axis 3 the residual is one ulp of ||v||^2. Axes 1 and 2 each
+        # score 6e-17, but folding either in leaves the projected norm at
+        # 1.0, so each is dropped in turn and the path is stuck.
+        sys_ = LtiSystem(np.diag([1.0, 2.0, 3.0]))
+        v = np.array([7.75e-9, 7.75e-9, 1.0])
+        folds = []
+        include = reachcore._ReachAccumulator.include
+
+        def recording(acc, i0):
+            folds.append(i0)
+            return include(acc, i0)
+
+        monkeypatch.setattr(reachcore._ReachAccumulator, "include", recording)
+        got = residual_closure_greedy(sys_, v, 1e-20)
+        assert folds == [2, 0, 1]
+        assert got == ([2], [1.0 + 2.0**-52, 2.0**-52], True)
+        monkeypatch.undo()
+        assert got == fold_greedy(sys_, v, 1e-20)

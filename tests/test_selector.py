@@ -22,6 +22,7 @@ from minreach import (
     InputError,
     LtiSystem,
     NumericalInfeasibilityError,
+    TIE_BAND_REL,
     TransferSpec,
     bisection_exact,
     brute_force_opt,
@@ -148,6 +149,24 @@ class TestGreedyEps:
     def test_smallest_index_tie_break(self):
         # Both axes give an identical gain of 1 for the first pick.
         delta, trace = greedy_eps(DIAG12, [1.0, 1.0], 1.5)
+        assert trace.chosen == (1,)
+
+    @pytest.mark.parametrize("n", [25, 50, 100])
+    def test_gains_equal_up_to_rounding_tie_to_the_smallest_index(self, n):
+        # Every closure spans the whole space, so every first gain is
+        # ||v||^2 up to rounding.
+        sys_ = erdos_renyi(n, 0)
+        v = random_target(n, 0)
+        _, trace = greedy_eps(sys_, v, 0.5 * float(v @ v))
+        assert trace.chosen[0] == 1
+
+    def test_a_gain_clearly_above_the_tie_band_wins_at_a_higher_index(self):
+        # The band here is TIE_BAND_REL * 2 * ||v||^2, about 2^-48. Gains 1
+        # and (1 + 2^-40)^2 differ by about 2^-39; 1 and (1 + 2^-52)^2 by 2^-51.
+        assert 2**-49 < TIE_BAND_REL * 2 * 2.0 < 2**-47
+        _, trace = greedy_eps(DIAG12, [1.0, 1.0 + 2.0**-40], 1.5)
+        assert trace.chosen == (2,)
+        _, trace = greedy_eps(DIAG12, [1.0, 1.0 + 2.0**-52], 1.5)
         assert trace.chosen == (1,)
 
 
@@ -380,15 +399,27 @@ class TestSharedClosureCache:
         assert sorted(built) == list(range(n))
 
     def test_system_is_freed_without_the_cycle_collector(self):
-        sys_ = erdos_renyi(20, 5)
+        # Every table a solve leaves lives on the system, so dropping the
+        # last reference frees it at once; a cache elsewhere would keep it.
+        rng = np.random.default_rng(5)
+        unweighted = erdos_renyi(20, 5)
         v = random_target(20, 5)
+        weighted = LtiSystem(unweighted.a, rng.standard_normal((13, 20)))
+        balls = [Ball(weighted.w @ random_target(20, k), 0.5) for k in range(3)]
+        solves = [
+            (unweighted, lambda sys_: bisection_exact(sys_, v, 1.0)),
+            (weighted, lambda sys_: subset_reach(sys_, balls)),
+        ]
+        del unweighted, weighted
         gc.disable()
         try:
-            bisection_exact(sys_, v, 1.0)
-            assert "_closures" in vars(sys_)
-            ref = weakref.ref(sys_)
-            del sys_
-            assert ref() is None
+            while solves:
+                sys_, solve = solves.pop()
+                solve(sys_)
+                assert {"_closures", "_output_closures"} <= vars(sys_).keys()
+                ref = weakref.ref(sys_)
+                del sys_
+                assert ref() is None
         finally:
             gc.enable()
 
