@@ -89,39 +89,125 @@ class LtiSystem:
         return self.n if self.w is None else self.w.shape[0]
 
     @cached_property
-    def _closures(self) -> tuple[_SpanBuilder, ...]:
-        """The closure of every 0-based index, built on first use in
-        batches of _STACK_BYTES and shared by every call on this system.
-        Safe to share because the system is frozen and `a` is read-only;
-        treat the builders as read-only."""
-        indices = list(range(self.n))
+    def _closures(self) -> dict[int, _SpanBuilder]:
+        """The closures built so far, by 0-based index. An index's closure
+        is built when a call first needs it (see _closures_of) and is shared
+        by every later call on this system. Safe to share because the system
+        is frozen and `a` is read-only; treat the builders as read-only."""
+        return {}
+
+    def _closures_of(self, indices) -> list[_SpanBuilder]:
+        """The closures of the 0-based `indices`, in order. The missing ones
+        are built side by side, in batches of _STACK_BYTES."""
+        table = self._closures
+        missing = [i0 for i0 in dict.fromkeys(indices) if i0 not in table]
         step = max(1, _STACK_BYTES // (8 * self.n**2))
-        return tuple(
-            closure
-            for start in range(0, self.n, step)
-            for closure in _index_closures(self.a, indices[start : start + step])
-        )
+        for start in range(0, len(missing), step):
+            batch = missing[start : start + step]
+            table.update(zip(batch, _index_closures(self.a, batch)))
+        return [table[i0] for i0 in indices]
 
     @cached_property
-    def _output_closures(self) -> tuple[_SpanBuilder, ...]:
-        """The span W C_i of every 0-based index's closure C_i, in the output
-        space: the closures themselves without an output weight, else built
-        on first use in batches of _STACK_BYTES. Treat as read-only."""
-        if self.w is None:
-            return self._closures
-        # Step k adds w times column k of every closure in a batch.
-        q = self.output_dim
-        step = max(1, _STACK_BYTES // (8 * q * max(q, self.n)))
-        bases: list[_SpanBuilder] = []
-        for start in range(0, self.n, step):
-            batch = self._closures[start : start + step]
-            ranks = [c.rank for c in batch]
-            stack = _SpanStack(len(batch), q)
-            for k in range(max(ranks)):
-                cols = np.stack([c._q[:, k] for c in batch], axis=1)
-                stack.add((self.w @ cols).T, [k < rank for rank in ranks])
-            bases += stack.builders
-        return tuple(bases)
+    def _output_closures(self) -> dict[int, _SpanBuilder]:
+        """The spans W C_i built so far of the closures C_i, by 0-based
+        index, in the output space: the closure table itself without an
+        output weight. Filled by _output_closure; treat as read-only."""
+        return self._closures if self.w is None else {}
+
+    def _output_closure(self, i0: int) -> _SpanBuilder:
+        """The span W C_i of the closure of 0-based index `i0`, built on
+        first use from the closure's columns in order."""
+        table = self._output_closures
+        if i0 not in table:
+            (closure,) = self._closures_of([i0])
+            if self.w is not None:
+                image = _SpanBuilder(self.output_dim)
+                for k in range(closure.rank):
+                    image.add(self.w @ closure.column(k))
+                table[i0] = image
+        return table[i0]
+
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        """Boolean ``(n, n)`` table whose row i marks the states that i
+        reaches in the digraph of `a`, i itself included, with an edge
+        j -> k when ``a[k, j] != 0``. The closure of i is exactly zero
+        outside row i: each of its columns is a combination of `a`
+        applied to e_i and to earlier columns. Read-only."""
+        n = self.n
+        succ = [np.flatnonzero(self.a[:, j]).tolist() for j in range(n)]
+        comp = _strong_components(succ)
+        members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
+        for j, c in enumerate(comp):
+            members[c].append(j)
+        # Tarjan's algorithm numbers a component after every component it
+        # reaches, so one pass in that order ORs in finished reach sets,
+        # held as integer bitsets.
+        reach = []
+        for c, states in enumerate(members):
+            bits = 0
+            for j in states:
+                bits |= 1 << j
+                for k in succ[j]:
+                    if comp[k] != c:
+                        bits |= reach[comp[k]]
+            reach.append(bits)
+        size = (n + 7) // 8
+        packed = b"".join(bits.to_bytes(size, "little") for bits in reach)
+        rows = np.unpackbits(
+            np.frombuffer(packed, np.uint8).reshape(len(reach), size),
+            axis=1,
+            count=n,
+            bitorder="little",
+        ).astype(bool)
+        table = rows[comp]
+        table.setflags(write=False)
+        return table
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Strong component of every vertex of the digraph with successor
+    lists `succ`, numbered in the order Tarjan's algorithm completes them:
+    every component a vertex reaches has a number no larger than its own.
+    Iterative, so deep digraphs need no recursion."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    count = done = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            j, e = work.pop()
+            if e == 0:
+                index[j] = low[j] = count
+                count += 1
+                stack.append(j)
+            edges = succ[j]
+            while e < len(edges):
+                k = edges[e]
+                e += 1
+                if index[k] < 0:
+                    work.append((j, e))
+                    work.append((k, 0))
+                    break
+                if comp[k] < 0:
+                    low[j] = min(low[j], index[k])
+            else:
+                if low[j] == index[j]:
+                    while True:
+                        k = stack.pop()
+                        comp[k] = done
+                        if k == j:
+                            break
+                    done += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[j])
+    return comp
 
 
 @dataclass(frozen=True)
@@ -244,9 +330,9 @@ def _check_actuators(sys: LtiSystem, delta: ActuatorSet) -> None:
         )
 
 
-#: Size in bytes of the span stacks that closures and their output images
-#: are built in, a batch of indices at a time. Larger batches run fewer
-#: numpy calls but hold more memory at once.
+#: Size in bytes of the span stacks that closures are built in, a batch of
+#: indices at a time. Larger batches run fewer numpy calls but hold more
+#: memory at once.
 _STACK_BYTES = 1 << 20
 
 
@@ -305,7 +391,8 @@ class _ReachAccumulator:
         Returns the output-space directions that were newly accepted, in
         acceptance order.
         """
-        src = self.sys._closures[i0]
+        table = self.sys._closures
+        src = table[i0] if i0 in table else self.sys._closures_of([i0])[0]
         w = self.sys.w
         added: list[np.ndarray] = []
         for k in range(src.rank):
@@ -340,6 +427,7 @@ class _ReachAccumulator:
 
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
+    sys._closures_of([i - 1 for i in delta.indices])
     acc = _ReachAccumulator(sys)
     for i in delta.indices:
         acc.include(i - 1)
@@ -430,20 +518,23 @@ def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
 
 
 def _subset_residuals(
-    sys: LtiSystem, v: np.ndarray, k: int
+    sys: LtiSystem, v: np.ndarray, k: int, least: int = 0
 ) -> Iterator[tuple[int, float]]:
     """Yield ``(mask, residual_sq)`` of `v` for every subset of at most `k`
-    0-based indices, keyed by index bitmask. Each residual is what the
-    subset's ``_ReachAccumulator.residual_sq(v)`` gives, with ||v||^2
-    computed once.
+    0-based indices that is a subset of one with at least `least`, keyed by
+    index bitmask. Each residual is what the subset's
+    ``_ReachAccumulator.residual_sq(v)`` gives, with ||v||^2 computed once.
 
     Subsets are walked depth first, each index included before it is
     skipped, so the subsets of each size come in lexicographic order. Each
     subset is its prefix's accumulator copied and extended by one index,
-    so each is built once. The walk keeps an explicit stack of subsets
-    still to extend, which holds at most n + 1 accumulators.
+    so each is built once; a prefix with too few indices left to reach
+    `least` is not extended. The walk keeps an explicit stack of subsets
+    still to extend, which holds at most n + 1 accumulators. Every closure
+    is built first, in one batch.
     """
     n = sys.n
+    sys._closures_of(range(n))
     nv2 = float(v @ v)
     root = _ReachAccumulator(sys)
     yield 0, nv2 - root.project_norm_sq(v)
@@ -451,7 +542,7 @@ def _subset_residuals(
     stack = [(root, 0, 0, 0)]
     while stack:
         acc, mask, size, i0 = stack.pop()
-        if i0 == n or size == k:
+        if i0 == n or size == k or n - i0 < least - size:
             continue
         stack.append((acc, mask, size, i0 + 1))
         child = acc.copy()

@@ -34,6 +34,12 @@ EPS_FLOOR_REL = 1e-12
 #: (four ulps of ||v||^2 per state), and ties go to the smallest index.
 TIE_BAND_REL = 4 * 2.0**-52
 
+#: A greedy candidate not built yet is bounded by ||r on U||^2 times
+#: 1 + _BOUND_SLACK_REL * n (see _GreedyPath): half the tie band, so a
+#: score at its bound is still certified. Measured on seeded systems, no
+#: score came within 0.4 * n ulps of ||r on U||^2 above it.
+_BOUND_SLACK_REL = TIE_BAND_REL / 2
+
 
 @dataclass(frozen=True)
 class GreedyTrace:
@@ -92,21 +98,34 @@ class _GreedyPath:
     holds the part computed so far: the accumulator, the 0-based picks and
     the residual trace (position 0 is ``||v||^2``).
 
-    Each candidate i has a residual closure ``bases[i] = (z, s)``: an
+    A candidate i is built only when a pick cannot be certified without
+    it. Built, it has a residual closure ``bases[i] = (z, s)``: an
     orthonormal basis z of the part of i's closure outside the state span
     reached so far, and the norm s[j] that closure column j keeps outside
     it. ``scores[i]`` is the gain for `v` of folding i in. Bases start as
-    views of the system's closure table, the first scores come from its
-    ``_output_closures``, and the last pick's new state directions wait in
-    ``fresh``.
+    views of the system's closures, first scores come from its output
+    closures, and the last pick's new state directions wait in ``fresh``.
+
+    Until it is built, candidate i is ``pending`` and ``bounds[i]`` bounds
+    its score: ``||r on U_i||^2 * (1 + _BOUND_SLACK_REL * n)``, with r the
+    residual of `v`. U_i, row i of ``support``, starts as the states i
+    reaches and takes in, in pick order, the support of each pick's new
+    state directions that meets it, so i's residual closure is exactly
+    zero outside it. A weighted path bounds every score by
+    ``||r||^2 * (1 + _BOUND_SLACK_REL * n)``. ``blocks`` keeps each pick's
+    new state directions, their support and the residual of `v` then: a
+    candidate built late replays them in order, and so holds the basis and
+    score it would hold had it been built at the start. Scores are -inf
+    for candidates pending or gone.
 
     When the sequence cannot continue, ``stuck`` holds the message, with
     ``{eps!r}`` standing for the threshold of the query that meets it and
     ``{res!r}`` for the last residual.
     """
 
-    __slots__ = ("v", "band", "acc", "bases", "scores", "fresh", "chosen",
-                 "residuals", "stuck")
+    __slots__ = ("v", "band", "acc", "support", "pending", "bounds", "bases",
+                 "scores", "blocks", "r", "out", "fresh", "chosen", "residuals",
+                 "stuck")
 
     def __init__(self, sys: LtiSystem, v: np.ndarray):
         self.v = v
@@ -114,12 +133,17 @@ class _GreedyPath:
         self.chosen: list[int] = []
         self.residuals = [float(v @ v)]
         self.band = TIE_BAND_REL * sys.n * self.residuals[0]
-        self.bases = {i0: (c._q[:, : c.rank], np.ones(c.rank))
-                      for i0, c in enumerate(sys._closures)}
-        self.scores = {i0: b.project_norm_sq(v)
-                       for i0, b in enumerate(sys._output_closures)}
+        self.support = sys._reach.copy()
+        self.pending = np.ones(sys.n, dtype=bool)
+        self.scores = np.full(sys.n, -np.inf)
+        self.bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.r = v
+        # A weighted path's output span, with room for one candidate's fold.
+        self.out: _SpanBuilder | None = None
         self.fresh: np.ndarray | None = None
         self.stuck: str | None = None
+        self._bound()
 
     def prefix(self, eps: float) -> tuple[list[int], list[float]]:
         """Picks and residual trace of the greedy run with threshold `eps`.
@@ -139,48 +163,139 @@ class _GreedyPath:
         k = next(k for k, res in enumerate(self.residuals) if res <= eps)
         return self.chosen[:k], self.residuals[: k + 1]
 
+    def _bound(self) -> None:
+        """Bound the score of every pending candidate by the residual r."""
+        r2 = self.r * self.r
+        slack = 1.0 + _BOUND_SLACK_REL * self.support.shape[0]
+        if self.acc.out is None:
+            # A row sum, not a product with BLAS, whose kernels may round
+            # equal rows differently: equal supports keep equal bounds.
+            self.bounds = np.where(self.support, r2, 0.0).sum(axis=1) * slack
+        else:
+            self.bounds = np.full(self.support.shape[0], float(r2.sum()) * slack)
+
     def absorb_fresh(self) -> None:
-        """Take the last pick's new state directions D out of every residual
-        closure that overlaps them, by _SpanBuilder.add on a builder
-        prefilled with D, and rescore. A column is absorbed when a fold
-        would absorb its unit closure column, at 2 * RANK_TOL; a closure
-        with every column absorbed leaves the candidates."""
+        """Take the last pick's new state directions D out of every built
+        residual closure that overlaps them, and rescore; a closure with
+        every column absorbed leaves the candidates. A closure whose
+        tracked support misses D's is skipped without arithmetic. Then
+        update the tracked supports and the bounds."""
         d, self.fresh = self.fresh, None
         if d is None:
             return
-        acc, bases, scores = self.acc, self.bases, self.scores
+        # A copy, which late builds replay: a view would keep the whole
+        # basis array of the accumulator it came from alive.
+        d = d.copy()
+        acc = self.acc
         q = acc.output_builder._q[:, : acc.output_builder.rank]
         # Renormalising a column that lost most of its norm magnifies its
         # rounding in reached directions, which the residual of v is not in.
-        r = self.v - q @ (q.T @ self.v)
-        t = d.shape[1]
-        builder = _SpanBuilder(d.shape[0])
-        builder._q[:, :t] = d
-        for i0, (z, s) in list(bases.items()):
-            if not (d.T @ z).any():
-                continue
-            builder._r = t
-            kept = []
-            for j in range(z.shape[1]):
-                u = builder.add(z[:, j], tol=2.0 * RANK_TOL / s[j])
-                if u is not None:
-                    kept.append(s[j] * float(u @ z[:, j]))
-            if not kept:
-                del bases[i0], scores[i0]
-                continue
-            z = builder._q[:, t : builder.rank].copy()
-            bases[i0] = (z, np.array(kept))
-            if acc.out is None:
-                scores[i0] = _score(z, r)
+        self.r = r = self.v - q @ (q.T @ self.v)
+        hit = d.any(axis=1)
+        meets = (self.support & hit).any(axis=1)
+        self.support[meets] |= hit
+        self.blocks.append((d, hit, r))
+        builder = _holding(d)
+        for i0 in [i0 for i0 in self.bases if meets[i0]]:
+            self._absorb(i0, d, builder, r)
         if acc.out is not None:
-            # The output span grew: fold every W-image into it again.
-            out, o = _SpanBuilder(acc.out.dim), acc.out.rank
-            out._q[:, :o] = acc.out._q[:, :o]
-            for i0, (z, _) in bases.items():
-                out._r = o
-                for col in (acc.sys.w @ z).T:
-                    out.add(col)
-                scores[i0] = _score(out._q[:, o : out.rank], r)
+            o = acc.out.rank
+            self.out = _SpanBuilder(acc.out.dim)
+            self.out._q[:, :o] = acc.out._q[:, :o]
+            for i0, (z, _) in self.bases.items():
+                self.scores[i0] = self._fold_score(z)
+        self._bound()
+
+    def _absorb(
+        self, i0: int, d: np.ndarray, builder: _SpanBuilder, r: np.ndarray
+    ) -> None:
+        """Take the directions D that `builder` holds out of candidate i0's
+        residual closure when D overlaps it, by _SpanBuilder.add, and score
+        it against `r` on an unweighted path. A column is absorbed when a
+        fold would absorb its unit closure column, at 2 * RANK_TOL."""
+        z, s = self.bases[i0]
+        if not (d.T @ z).any():
+            return
+        t = d.shape[1]
+        builder._r = t
+        kept = []
+        for j in range(z.shape[1]):
+            u = builder.add(z[:, j], tol=2.0 * RANK_TOL / s[j])
+            if u is not None:
+                kept.append(s[j] * float(u @ z[:, j]))
+        if not kept:
+            self.drop(i0)
+            return
+        z = builder._q[:, t : builder.rank].copy()
+        self.bases[i0] = (z, np.array(kept))
+        if self.acc.out is None:
+            self.scores[i0] = _score(z, r)
+
+    def _fold_score(self, z: np.ndarray) -> float:
+        """Gain for the residual of folding the W-image of `z` into the
+        output span reached so far."""
+        out, o = self.out, self.acc.out.rank
+        out._r = o
+        for col in (self.acc.sys.w @ z).T:
+            out.add(col)
+        return _score(out._q[:, o : out.rank], self.r)
+
+    def _build(self, i0: int) -> None:
+        """Make pending candidate i0's residual closure and score from its
+        closure and its output closure, replaying every earlier pick's
+        directions in order."""
+        sys = self.acc.sys
+        (closure,) = sys._closures_of([i0])
+        self.pending[i0] = False
+        self.bases[i0] = (closure._q[:, : closure.rank], np.ones(closure.rank))
+        self.scores[i0] = sys._output_closure(i0).project_norm_sq(self.v)
+        support = sys._reach[i0].copy()
+        for d, hit, r in self.blocks:
+            if (support & hit).any():
+                support |= hit
+                self._absorb(i0, d, _holding(d), r)
+                if i0 not in self.bases:
+                    return
+        if self.blocks and self.acc.out is not None:
+            self.scores[i0] = self._fold_score(self.bases[i0][0])
+
+    def drop(self, i0: int) -> None:
+        """Remove built candidate i0."""
+        del self.bases[i0]
+        self.scores[i0] = -np.inf
+
+    def pick(self) -> int | None:
+        """The next pick: the smallest index whose score is positive and
+        within ``band`` of the largest score, exactly as over every
+        candidate built; None when no score is positive.
+
+        Index p is taken when every smaller candidate is certified out,
+        its score or bound being at most zero or below ``M - band``, with
+        M the largest score built, and its own score is at least
+        ``max(M, largest pending bound) - band``. Otherwise the pending
+        candidate with the largest bound is built, ties to the smallest
+        index, and the test is made again.
+        """
+        pending, scores = self.pending, self.scores
+        while True:
+            top = float(scores.max(initial=0.0))
+            value = np.where(pending, self.bounds, scores)
+            live = (value > 0.0) & (value >= top - self.band)
+            if not live.any():
+                return None
+            p = int(live.argmax())
+            waiting = np.where(pending, self.bounds, -np.inf)
+            if not pending[p] and scores[p] >= max(top, waiting.max()) - self.band:
+                return p
+            self._build(int(waiting.argmax()))
+
+
+def _holding(d: np.ndarray) -> _SpanBuilder:
+    """A builder over R^n whose span is the orthonormal columns `d`."""
+    builder = _SpanBuilder(d.shape[0])
+    builder._q[:, : d.shape[1]] = d
+    builder._r = d.shape[1]
+    return builder
 
 
 def _score(z: np.ndarray, v: np.ndarray) -> float:
@@ -193,31 +308,27 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
     """Extend `path` until its residual is at most `eps` or it is stuck.
 
     Each step picks the smallest index whose score is positive and within
-    ``path.band`` of the largest score, and folds it into a copy of the
-    accumulator. The fold judges the pick: one that does not lower the
-    residual leaves the candidates, and the step picks again. With no
-    positive score left, the path records why in ``path.stuck``.
+    ``path.band`` of the largest score (see _GreedyPath.pick), and folds it
+    into a copy of the accumulator. The fold judges the pick: one that does
+    not lower the residual leaves the candidates, and the step picks again.
+    With no positive score left, the path records why in ``path.stuck``.
     """
     v = path.v
-    scores = path.scores
     res = path.residuals[-1]
     while res > eps:
         path.absorb_fresh()
         while True:
-            positive = [(i0, s) for i0, s in scores.items() if s > 0.0]
-            if not positive:
+            pick = path.pick()
+            if pick is None:
                 path.stuck = (
                     "no candidate reduces the residual below {eps!r}; "
                     "stuck at squared residual {res!r}"
                 )
                 return
-            floor = max(s for _, s in positive) - path.band
-            # scores keeps index order, so this is the smallest such index.
-            pick = next(i0 for i0, s in positive if s >= floor)
             trial = path.acc.copy()
             trial.include(pick)
             new_res = trial.residual_sq(v)
-            del path.bases[pick], scores[pick]
+            path.drop(pick)
             if new_res < res:
                 break
         path.fresh = trial.state._q[:, path.acc.state.rank : trial.state.rank]
@@ -244,8 +355,9 @@ def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]
     ``TIE_BAND_REL * n * ||v||^2`` of the largest tie, and ties go to the
     smallest index. The threshold is absolute (same units as
     ``||v||^2``). The run is the prefix, up to the first residual at most
-    `eps`, of the one greedy path for `v`; closures come from the system's
-    closure table, built once per system.
+    `eps`, of the one greedy path for `v`. A candidate's closure is built
+    only when the pick cannot be certified without it, and at most once per
+    system.
 
     Returns the selected set and the pick-by-pick trace.
     """
@@ -340,8 +452,9 @@ def subset_reach(
     Runs the greedy selection once per ball (center as target, squared
     radius as threshold) and returns the smallest resulting set together
     with the 1-based index of its ball; ties go to the smallest index.
-    Every ball's run reads closures from the system's one closure table, so
-    each index's closure is built once across all balls.
+    Every ball's run shares the system's closures, so an index's closure
+    is built at most once across all balls, and only when some run needs
+    it.
     """
     balls = list(balls)
     if not balls:
@@ -389,9 +502,10 @@ def brute_force_opt(
             raise InputError(f"k_max: must be non-negative, got {k_max}")
         k_max = min(k_max, n)
     # One walk per size: the walk interleaves sizes, and a walk capped at
-    # size k can stop at the first hit of size k.
+    # size k can stop at the first hit of size k and skip every prefix that
+    # cannot grow to size k.
     for k in range(k_max + 1):
-        for mask, res in _subset_residuals(sys, v, k):
+        for mask, res in _subset_residuals(sys, v, k, k):
             if mask.bit_count() == k and res <= eps:
                 return ActuatorSet(n, (i0 + 1 for i0 in range(n) if mask >> i0 & 1))
     return None

@@ -526,3 +526,117 @@ class TestBatchedClosuresAndExtensions:
         assert got == ([2], [1.0 + 2.0**-52, 2.0**-52], True)
         monkeypatch.undo()
         assert got == fold_greedy(sys_, v, 1e-20)
+
+
+class TestCertifiedPicks:
+    """The greedy builds a candidate only when bounds cannot certify the
+    pick without it, and still picks what trial folds over every candidate
+    pick. Each case below defeats a shortcut that looks sound."""
+
+    def test_reach_table_matches_breadth_first_search(self):
+        def searched(a):
+            n = a.shape[0]
+            table = np.zeros((n, n), dtype=bool)
+            for i in range(n):
+                table[i, i] = True
+                frontier = deque([i])
+                while frontier:
+                    j = frontier.popleft()
+                    for k in np.flatnonzero(a[:, j] != 0.0):
+                        if not table[i, k]:
+                            table[i, k] = True
+                            frontier.append(k)
+            return table
+
+        rng = np.random.default_rng(1019)
+        for case in range(90):
+            n = int(rng.integers(1, 30))
+            if case % 3 == 0:
+                a = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.uniform(0, 0.3))
+            elif case % 3 == 1:
+                a = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+            else:
+                order = rng.permutation(n)
+                a = block_diagonal(rng, [n])[np.ix_(order, order)] * (rng.random((n, n)) < 0.1)
+            assert np.array_equal(LtiSystem(a)._reach, searched(a)), case
+        # A path of 2000 states, far deeper than the recursion limit.
+        chain = LtiSystem(np.diag(np.ones(1999), -1))._reach
+        assert np.array_equal(chain, np.tril(np.ones((2000, 2000), dtype=bool)).T)
+
+    def test_bounds_track_the_support_of_each_pick(self):
+        # On an upper-triangular A, state i reaches only states up to i, but
+        # taking a pick's directions out of i's closure spreads it over the
+        # pick's states: after the first pick, the residual on the states i
+        # reaches no longer bounds i's score.
+        rng = np.random.default_rng(1009)
+        for case in range(40):
+            n = int(rng.integers(4, 13))
+            a = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+            sys_ = LtiSystem(a)
+            v = rng.standard_normal(n)
+            eps = 1e-12 * float(v @ v)
+            assert residual_closure_greedy(sys_, v, eps) == fold_greedy(sys_, v, eps), case
+
+    def test_an_index_inside_the_band_of_a_later_score_is_kept(self):
+        # Scores 1, 1 + 24u and 1 + 54u against a band of 36u (u = 2^-52):
+        # index 2's score moves the pick off index 0 to index 1, so index 1
+        # cannot be skipped for lying within the band of index 0's score.
+        u = 2.0**-52
+        v = np.array([1.0, math.sqrt(1.0 + 25 * u), math.sqrt(1.0 + 54 * u)])
+        sys_ = LtiSystem(np.diag([1.0, 2.0, 3.0]))
+        got = residual_closure_greedy(sys_, v, 1e-30)
+        assert got[0] == [1, 2, 0]
+        assert got == fold_greedy(sys_, v, 1e-30)
+
+    def test_a_score_that_grows_after_a_pick_is_not_bounded_by_the_old_one(self):
+        # Gains are not submodular. Index 1's closure holds (e0 + e2) / sqrt 2
+        # and scores 0 for v = e0 - e2; after index 0 is picked it holds e2
+        # and scores 1, and ties index 2 (Minoux's lazy greedy, which keeps
+        # old scores as bounds, would pick index 2).
+        a = np.zeros((3, 3))
+        a[0, 1] = a[2, 1] = 1.0
+        sys_ = LtiSystem(a)
+        v = np.array([1.0, 0.0, -1.0])
+        got = residual_closure_greedy(sys_, v, 1e-20)
+        assert got[0] == [0, 1]
+        assert got == fold_greedy(sys_, v, 1e-20)
+
+    def test_support_prefilter_never_skips_an_overlapping_closure(self, monkeypatch):
+        # With every candidate built, each closure whose tracked support
+        # misses the new directions' support has an exactly zero product
+        # with them, so the exact test would skip it too; and every residual
+        # closure stays zero outside its tracked support.
+        absorb = _GreedyPath.absorb_fresh
+        checked = []
+
+        def checking(path):
+            d = path.fresh
+            if d is not None:
+                hit = d.any(axis=1)
+                for i0, (z, _) in path.bases.items():
+                    if not (path.support[i0] & hit).any():
+                        assert not (d.T @ z).any()
+                        checked.append(i0)
+            absorb(path)
+            for i0, (z, _) in path.bases.items():
+                assert not (z.any(axis=1) & ~path.support[i0]).any()
+
+        monkeypatch.setattr(_GreedyPath, "absorb_fresh", checking)
+        rng = np.random.default_rng(1013)
+        for case in range(60):
+            n = int(rng.integers(4, 20))
+            if case % 3 == 0:
+                a = block_diagonal(rng, [1 + k % 4 for k in range(n // 2)])
+            elif case % 3 == 1:
+                a = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+            else:
+                a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.15)
+            sys_ = LtiSystem(a)
+            v = rng.standard_normal(sys_.n)
+            path = _GreedyPath(sys_, v)
+            for i0 in range(sys_.n):
+                path._build(i0)
+            _greedy_core(path, 1e-12 * float(v @ v))
+            want = fold_greedy(sys_, v, 1e-12 * float(v @ v))
+            assert (path.chosen, path.residuals, path.stuck is not None) == want
+        assert len(checked) > 400

@@ -269,6 +269,16 @@ def equivalence_systems(rng):
     return systems
 
 
+class TestLargeExactSolve:
+    def test_n300_exact_solve_takes_under_five_seconds(self):
+        sys_ = erdos_renyi(300, 1)
+        delta, _, trace = within_seconds(
+            5, lambda: bisection_exact(sys_, random_target(300, 1), 1.0)
+        )
+        assert delta.cardinality == 1
+        assert trace.residuals[-1] <= EXACT_TOL * trace.residuals[0]
+
+
 class TestBisectionMatchesNaive:
     def test_fifty_seeded_systems(self):
         rng = np.random.default_rng(179)
@@ -336,6 +346,19 @@ class TestSubsetReach:
             assert residual(sys_, delta, winner.center) <= winner.radius_sq
 
 
+def counted_builds(monkeypatch):
+    """The 0-based indices whose closures get built from now on, in order."""
+    built = []
+    build = reachcore._index_closures
+
+    def counting(a, indices):
+        built.extend(indices)
+        return build(a, indices)
+
+    monkeypatch.setattr(reachcore, "_index_closures", counting)
+    return built
+
+
 class TestSharedClosureCache:
     def test_subset_reach_matches_per_ball_greedy_on_fresh_systems(self):
         rng = np.random.default_rng(181)
@@ -355,14 +378,7 @@ class TestSharedClosureCache:
             assert (delta, ball_index) == (per_ball[best], best + 1)
 
     def test_subset_reach_builds_each_closure_at_most_once(self, monkeypatch):
-        built = []
-        build = reachcore._index_closures
-
-        def counting(a, indices):
-            built.extend(indices)
-            return build(a, indices)
-
-        monkeypatch.setattr(reachcore, "_index_closures", counting)
+        built = counted_builds(monkeypatch)
         rng = np.random.default_rng(191)
         for seed in range(3):
             n = 12
@@ -377,14 +393,9 @@ class TestSharedClosureCache:
             assert len(set(built)) == len(built)
 
     def test_every_call_shares_one_closure_table(self, monkeypatch):
-        built = []
-        build = reachcore._index_closures
-
-        def counting(a, indices):
-            built.extend(indices)
-            return build(a, indices)
-
-        monkeypatch.setattr(reachcore, "_index_closures", counting)
+        # Each call builds only the closures it needs, and none twice: the
+        # greedy calls a few, the set calls the indices of their own set.
+        built = counted_builds(monkeypatch)
         n = 12
         sys_ = LtiSystem(erdos_renyi(n, 3).a, np.eye(n))
         v = random_target(n, 3)
@@ -392,11 +403,48 @@ class TestSharedClosureCache:
         greedy_eps(sys_, v, 0.1)
         bisection_exact(sys_, v, 1e-3)
         subset_reach(sys_, [Ball(v, 0.5), Ball(-v, 0.05)])
+        by_greedy = set(built)
+        assert 0 < len(by_greedy) < n
         residual(sys_, delta, v)
         is_feasible(sys_, delta, v)
         reachable_subspace(sys_, delta)
         is_controllable(sys_, delta)
-        assert sorted(built) == list(range(n))
+        assert set(built) == by_greedy | {1, 4}
+        assert len(set(built)) == len(built)
+
+    @pytest.mark.parametrize("n", [25, 50, 100, 300])
+    def test_exact_solve_on_erdos_renyi_builds_one_closure(self, monkeypatch, n):
+        built = counted_builds(monkeypatch)
+        bisection_exact(erdos_renyi(n, 1), random_target(n, 1), 1.0)
+        assert built == [0]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sys_, delta, v: residual(sys_, delta, v),
+            lambda sys_, delta, v: is_feasible(sys_, delta, v),
+            lambda sys_, delta, v: reachable_subspace(sys_, delta),
+            lambda sys_, delta, v: is_controllable(sys_, delta),
+        ],
+        ids=["residual", "is_feasible", "reachable_subspace", "is_controllable"],
+    )
+    def test_set_calls_build_only_their_own_closures(self, monkeypatch, call):
+        built = counted_builds(monkeypatch)
+        n = 12
+        call(erdos_renyi(n, 4), ActuatorSet(n, (2, 5)), random_target(n, 4))
+        assert built == [1, 4]
+
+    def test_weighted_subset_reach_builds_one_closure(self, monkeypatch):
+        # Every W C_i spans the output space, so the first candidate built
+        # certifies the pick for every ball.
+        built = counted_builds(monkeypatch)
+        n = 40
+        rng = np.random.default_rng(197)
+        sys_ = LtiSystem(erdos_renyi(n, 2).a, rng.standard_normal((n // 2, n)))
+        balls = [Ball(sys_.w @ random_target(n, 20 + k), 0.05) for k in range(8)]
+        subset_reach(sys_, balls)
+        assert built == [0]
+        assert list(sys_._output_closures) == [0]
 
     def test_system_is_freed_without_the_cycle_collector(self):
         # Every table a solve leaves lives on the system, so dropping the
@@ -442,6 +490,30 @@ class TestBruteForceOpt:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             brute_force_opt(LtiSystem(np.eye(17)), np.ones(17), 1e-6)
+
+    def test_walk_for_size_k_skips_prefixes_that_cannot_reach_k(self, monkeypatch):
+        # Every index carries a part of v, so no set of at most 11 of the 12
+        # reaches it. The walk for size k extends a subset S only when the
+        # indices above S's largest can still fill it up to k.
+        n, k_max = 12, 11
+        includes = []
+        include = _ReachAccumulator.include
+
+        def counting(acc, i0):
+            includes.append(i0)
+            return include(acc, i0)
+
+        monkeypatch.setattr(_ReachAccumulator, "include", counting)
+        sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)))
+        assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
+        expected = sum(
+            1
+            for k in range(k_max + 1)
+            for size in range(1, k + 1)
+            for combo in itertools.combinations(range(n), size)
+            if n - 1 - combo[-1] >= k - size
+        )
+        assert len(includes) == expected
 
     def test_rejects_negative_eps(self):
         with pytest.raises(InputError):
