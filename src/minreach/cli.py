@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -272,7 +273,10 @@ def _add_transfer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t1", type=float, default=1.0, help="end time (default 1)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: building it costs far
+    more than a parse, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="minreach",
         description="Minimal actuator selection for state transfers of linear systems.",

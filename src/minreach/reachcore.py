@@ -528,28 +528,55 @@ def _subset_residuals(
     Subsets are walked depth first, each index included before it is
     skipped, so the subsets of each size come in lexicographic order. Each
     subset is its prefix's accumulator copied and extended by one index,
-    so each is built once; a prefix with too few indices left to reach
-    `least` is not extended. The walk keeps an explicit stack of subsets
-    still to extend, which holds at most n + 1 accumulators. Every closure
-    is built first, in one batch.
+    so each is built at most once; a prefix with too few indices left to
+    reach `least` is not extended. The walk holds at most two accumulators
+    per level of depth. Every closure is built first, in one batch.
+
+    Sharing rule: when extending a subset X of `size` indices by index i
+    leaves the state rank unchanged, the fold wrote nothing, so X + {i} has
+    X's accumulator to the bit, and its subtree (X + {i} extended by
+    indices above i) does the same arithmetic as X's continuation (X
+    extended by indices above i). That continuation is then walked once,
+    from X, and its ``(mask, residual)`` list yielded twice: first with bit
+    i set, then without, which is the order of the plain walk. It is shared
+    only where the pruning cannot tell the two subtrees apart, ``least <=
+    size`` and ``size + n - i <= k``: always in the full walk, never in a
+    walk for exactly k indices. An unchanged output rank is not enough: a
+    weighted fold may grow the state span in a direction W kills, and the
+    larger state span changes what later folds add.
     """
     n = sys.n
     sys._closures_of(range(n))
     nv2 = float(v @ v)
+
+    def extensions(acc, mask, size, start, res):
+        # Every subset mask + T, T a non-empty set of indices >= start,
+        # where `res` is mask's residual.
+        for i0 in range(start, n):
+            if size == k or n - i0 < least - size:
+                return
+            bit = 1 << i0
+            child = acc.copy()
+            child.include(i0)
+            if (
+                child.state_rank == acc.state_rank
+                and least <= size
+                and size + n - i0 <= k
+            ):
+                rest = list(extensions(acc, mask, size, i0 + 1, res))
+                yield mask | bit, res
+                for sub_mask, sub_res in rest:
+                    yield sub_mask | bit, sub_res
+                yield from rest
+                return
+            child_res = nv2 - child.project_norm_sq(v)
+            yield mask | bit, child_res
+            yield from extensions(child, mask | bit, size + 1, i0 + 1, child_res)
+
     root = _ReachAccumulator(sys)
-    yield 0, nv2 - root.project_norm_sq(v)
-    # (accumulator, mask, size, next index the subset may be extended by)
-    stack = [(root, 0, 0, 0)]
-    while stack:
-        acc, mask, size, i0 = stack.pop()
-        if i0 == n or size == k or n - i0 < least - size:
-            continue
-        stack.append((acc, mask, size, i0 + 1))
-        child = acc.copy()
-        child.include(i0)
-        child_mask = mask | 1 << i0
-        yield child_mask, nv2 - child.project_norm_sq(v)
-        stack.append((child, child_mask, size + 1, i0 + 1))
+    root_res = nv2 - root.project_norm_sq(v)
+    yield 0, root_res
+    yield from extensions(root, 0, 0, 0, root_res)
 
 
 def epsilon_a(sys: LtiSystem, v) -> float:
@@ -560,7 +587,10 @@ def epsilon_a(sys: LtiSystem, v) -> float:
     residual of `v` against the reachable subspace of S. Returns
     ``math.inf`` when no subset has that one-step property.
 
-    Exhaustive over all 2^n subsets; requires ``n <= N_BRUTE``.
+    Exhaustive over all 2^n subsets; requires ``n <= N_BRUTE``. The
+    residuals come from one full subset walk, which folds each subtree it
+    can share once (see _subset_residuals); the one-step test is n
+    vectorised passes over the residuals, indexed by subset bitmask.
     """
     if sys.n > N_BRUTE:
         raise CapacityError(
@@ -570,19 +600,16 @@ def epsilon_a(sys: LtiSystem, v) -> float:
     nv2 = float(v @ v)
     if nv2 == 0.0:
         raise InputError("v: must be non-zero")
-    res = dict(_subset_residuals(sys, v, sys.n))
-    tol = EXACT_TOL * nv2
-
-    def feasible(mask: int) -> bool:
-        return res[mask] <= tol
-
-    best = math.inf
     n = sys.n
-    for mask in range(1 << n):
-        if feasible(mask):
-            continue
-        if any(
-            not mask & (1 << i0) and feasible(mask | (1 << i0)) for i0 in range(n)
-        ):
-            best = min(best, res[mask])
-    return best
+    masks, values = zip(*_subset_residuals(sys, v, n))
+    res = np.empty(1 << n)
+    res[list(masks)] = values
+    feasible = res <= EXACT_TOL * nv2
+    # one_step[mask]: adding some index missing from mask makes it feasible.
+    one_step = np.zeros(1 << n, dtype=bool)
+    every = np.arange(1 << n)
+    for i0 in range(n):
+        lacking = every[(every & 1 << i0) == 0]
+        one_step[lacking] |= feasible[lacking | 1 << i0]
+    candidates = res[one_step & ~feasible]
+    return float(candidates.min()) if candidates.size else math.inf

@@ -1,7 +1,9 @@
 """Command-line surface tests: JSON ingestion, subcommand workflows,
 exit codes, trace emission, and output stability."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 
 import minreach
 from conftest import run_cli
-from minreach import erdos_renyi
+from minreach import cli, erdos_renyi
 from minreach.errors import NumericalInfeasibilityError
 
 
@@ -499,3 +501,35 @@ class TestInputHandling:
             ]
         )
         assert code == 2
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_first_calls(self, tmp_path):
+        # The parser is built once per process; a parse error must leave it
+        # as it was for the calls after it.
+        system = diag_system(tmp_path)
+        calls = [
+            ["gen", "star", "3", "--out", str(tmp_path / "star.json")],
+            ["oracle", system, "--x1", "1,1", "--eps", "0", "--kmax", "1"],
+            ["reach", system, "--x1", "1,1", "--eps", "1", "--bogus"],
+            ["oracle", system, "--x1", "1,0", "--eps", "0", "--kmax", "0"],
+            ["reach", system, "--x1", "1", "--eps", "1"],
+            ["verify"],
+            ["gen", "er", "4", "7", "--out", str(tmp_path / "er.json")],
+        ]
+
+        def outcome(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        first = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            first.append(outcome(argv))
+        assert [code for code, _, _ in first] == [0, 4, 2, 4, 2, 2, 0]
+        assert [outcome(argv) for argv in calls] == first

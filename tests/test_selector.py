@@ -40,6 +40,7 @@ from minreach import (
     transfer_vector,
 )
 from minreach import reachcore
+from minreach.numkit import RANK_TOL
 from minreach.reachcore import _ReachAccumulator
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
@@ -359,6 +360,20 @@ def counted_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def include_calls(monkeypatch):
+    """The 0-based index of every _ReachAccumulator.include call made."""
+    calls = []
+    include = _ReachAccumulator.include
+
+    def counting(acc, i0):
+        calls.append(i0)
+        return include(acc, i0)
+
+    monkeypatch.setattr(_ReachAccumulator, "include", counting)
+    return calls
+
+
 class TestSharedClosureCache:
     def test_subset_reach_matches_per_ball_greedy_on_fresh_systems(self):
         rng = np.random.default_rng(181)
@@ -491,19 +506,11 @@ class TestBruteForceOpt:
         with pytest.raises(CapacityError):
             brute_force_opt(LtiSystem(np.eye(17)), np.ones(17), 1e-6)
 
-    def test_walk_for_size_k_skips_prefixes_that_cannot_reach_k(self, monkeypatch):
+    def test_walk_for_size_k_skips_prefixes_that_cannot_reach_k(self, include_calls):
         # Every index carries a part of v, so no set of at most 11 of the 12
         # reaches it. The walk for size k extends a subset S only when the
         # indices above S's largest can still fill it up to k.
         n, k_max = 12, 11
-        includes = []
-        include = _ReachAccumulator.include
-
-        def counting(acc, i0):
-            includes.append(i0)
-            return include(acc, i0)
-
-        monkeypatch.setattr(_ReachAccumulator, "include", counting)
         sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)))
         assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
         expected = sum(
@@ -513,7 +520,7 @@ class TestBruteForceOpt:
             for combo in itertools.combinations(range(n), size)
             if n - 1 - combo[-1] >= k - size
         )
-        assert len(includes) == expected
+        assert len(include_calls) == expected
 
     def test_rejects_negative_eps(self):
         with pytest.raises(InputError):
@@ -611,6 +618,94 @@ class TestExhaustiveOraclesMatchReferences:
             assert repr(value) == repr(per_mask_epsilon_a(sys_, v)), case
             finite += math.isfinite(value)
         assert finite >= 7
+
+
+def plain_walk(sys_, v, k, least=0):
+    """Reference for _subset_residuals: the depth-first walk that shares no
+    subtree. Each subset is its prefix's accumulator copied and extended
+    by one index, from an explicit stack of subsets still to extend."""
+    n = sys_.n
+    nv2 = float(v @ v)
+    root = _ReachAccumulator(sys_)
+    yield 0, nv2 - root.project_norm_sq(v)
+    stack = [(root, 0, 0, 0)]
+    while stack:
+        acc, mask, size, i0 = stack.pop()
+        if i0 == n or size == k or n - i0 < least - size:
+            continue
+        stack.append((acc, mask, size, i0 + 1))
+        child = acc.copy()
+        child.include(i0)
+        child_mask = mask | 1 << i0
+        yield child_mask, nv2 - child.project_norm_sq(v)
+        stack.append((child, child_mask, size + 1, i0 + 1))
+
+
+def cycle_blocks(*sizes):
+    """Block-diagonal system of weighted directed cycles: the closure of
+    every state is its whole block."""
+    n = sum(sizes)
+    a = np.zeros((n, n))
+    lo = 0
+    for size in sizes:
+        for j in range(size):
+            a[lo + (j + 1) % size, lo + j] = 1.0 + j
+        lo += size
+    return LtiSystem(a)
+
+
+class TestSharedSubsetWalk:
+    """The walk shares the subtree of a fold that adds nothing, and yields
+    what the plain walk yields, to the bit and in the same order."""
+
+    def test_walk_matches_the_plain_walk(self):
+        rng = np.random.default_rng(1709)
+        kinds = ("blocks", "diagonal", "weighted", "duplicated-rows")
+        for case in range(24):
+            n = 4 + case % 6
+            kind = kinds[case % 4]
+            if kind == "diagonal":
+                sys_ = LtiSystem(np.diag(rng.permutation(n) + 1.0))
+            elif kind == "duplicated-rows":
+                rows = rng.standard_normal((int(rng.integers(1, n)), n))
+                a = sparse_block_system(rng, n, weighted=False).a
+                sys_ = LtiSystem(a, np.vstack([rows, rows]))
+            else:
+                sys_ = sparse_block_system(rng, n, weighted=kind == "weighted")
+            v = rng.standard_normal(sys_.output_dim)
+            walks = [(n, 0), (2, 0), (n, 1)] + [(k, k) for k in range(n + 1)]
+            for k, least in walks:
+                got = list(reachcore._subset_residuals(sys_, v, k, least))
+                want = list(plain_walk(sys_, v, k, least))
+                assert repr(got) == repr(want), (case, kind, k, least)
+
+    @pytest.mark.parametrize(
+        "sizes, expected", [((4, 4, 4), 310), ((4, 3, 3), 160)]
+    )
+    def test_epsilon_a_folds_each_shared_subtree_once(
+        self, include_calls, sizes, expected
+    ):
+        sys_ = cycle_blocks(*sizes)
+        v = np.random.default_rng(1733).standard_normal(sys_.n)
+        assert math.isfinite(epsilon_a(sys_, v))
+        assert len(include_calls) == expected
+
+    def test_a_fold_the_output_weight_kills_is_not_shared(self):
+        # Index 1 grows the state span by e1, which W kills, so the output
+        # rank is unchanged. Index 2 then adds e2 and e1 + t e3 with t just
+        # above the rank tolerance. Past e1 that leaves 0.1 t e3 in the
+        # output, which W keeps; without e1 it leaves 0.1 t e3 only through
+        # a column of norm 1, and the output span absorbs it. So {1, 2}
+        # reaches v and {2} does not.
+        t = 5 * RANK_TOL
+        a = np.zeros((3, 3))
+        a[:, 1] = [1.0, 0.0, t]
+        sys_ = LtiSystem(a, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.1]])
+        v = np.array([0.0, 1.0])
+        res = dict(reachcore._subset_residuals(sys_, v, 3))
+        assert res[0b010] == 1.0
+        assert res[0b011] == 0.0
+        assert repr(sorted(res.items())) == repr(sorted(plain_walk(sys_, v, 3)))
 
 
 def exhaustive_hitting_set(instance):
