@@ -23,8 +23,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import InputError, NumericalInfeasibilityError
-from .numkit import as_matrix, as_square
-from .reachcore import LtiSystem, TransferSpec, residual, transfer_vector
+from .numkit import as_int, as_matrix, as_positive, as_square
+from .reachcore import ActuatorSet, LtiSystem, TransferSpec, residual, transfer_vector
 from .reductions import (
     HittingSetInstance,
     build_lemma1,
@@ -57,7 +57,7 @@ def _load_system(path: str) -> LtiSystem:
         raise InputError(f"{path}: expected a JSON object")
     if "n" not in data or "a" not in data:
         raise InputError(f"{path}: system file needs fields 'n' and 'a'")
-    n = int(data["n"])
+    n = as_int(data["n"], f"{path}: 'n'")
     a = as_square(data["a"], "a")
     if a.shape[0] != n:
         raise InputError(f"{path}: 'a' is {a.shape[0]}x{a.shape[1]} but n={n}")
@@ -144,24 +144,22 @@ def _cmd_reach(args) -> int:
     sys_ = _load_system(args.system)
     if (args.eps is None) == (not args.exact):
         raise InputError("choose exactly one mode: --eps <value> or --exact")
+    # Checked before the transfer vector: a zero one runs neither mode.
+    if args.eps is not None:
+        threshold = as_positive(args.eps, "eps")
+    elif args.accuracy is None:
+        raise InputError("--exact requires --accuracy <value>")
+    else:
+        threshold = as_positive(args.accuracy, "accuracy")
     v = _resolve_transfer(sys_, args)
     if float(v @ v) == 0.0:
-        elapsed = (time.perf_counter() - start) * 1e3
-        report = _run_report((), 0.0, 0.0, 0, elapsed)
-        if args.trace:
-            _write_trace(
-                args.trace, GreedyTrace(chosen=(), residuals=(0.0,), epsilon=0.0)
-            )
-        _emit(report)
-        return 0
-    if args.eps is not None:
-        eps = float(args.eps)
-        delta, trace = greedy_eps(sys_, v, eps)
-        eps_used = eps
+        delta, eps_used = ActuatorSet.empty(sys_.n), 0.0
+        trace = GreedyTrace(chosen=(), residuals=(0.0,), epsilon=0.0)
+    elif args.eps is not None:
+        delta, trace = greedy_eps(sys_, v, threshold)
+        eps_used = threshold
     else:
-        if args.accuracy is None:
-            raise InputError("--exact requires --accuracy <value>")
-        delta, eps_used, trace = bisection_exact(sys_, v, float(args.accuracy))
+        delta, eps_used, trace = bisection_exact(sys_, v, threshold)
     elapsed = (time.perf_counter() - start) * 1e3
     if args.trace:
         _write_trace(args.trace, trace)

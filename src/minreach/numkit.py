@@ -83,6 +83,26 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return out
 
 
+def as_int(x, name: str) -> int:
+    """``int(x)``, raising InputError where int() raises."""
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name}: expected an integer, got {x!r}") from exc
+
+
+def as_positive(x, name: str) -> float:
+    """``float(x)`` when that is positive and finite; InputError otherwise,
+    also where float() raises."""
+    try:
+        value = float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name}: expected a number, got {x!r}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError(f"{name}: must be positive and finite, got {value}")
+    return value
+
+
 def mat_exp(a, t: float) -> np.ndarray:
     """Matrix exponential ``exp(a * t)`` of a square matrix.
 
@@ -125,18 +145,17 @@ class _SpanBuilder:
         self._q = np.empty((self.dim, self.dim))
         self._r = 0
 
-    @classmethod
-    def _on(cls, q: np.ndarray) -> "_SpanBuilder":
-        """Empty builder whose basis is stored in the square array `q`."""
-        builder = cls.__new__(cls)
-        builder.dim = q.shape[0]
-        builder._q = q
-        builder._r = 0
-        return builder
-
     @property
     def rank(self) -> int:
         return self._r
+
+    @classmethod
+    def holding(cls, cols: np.ndarray) -> "_SpanBuilder":
+        """A builder whose span is the orthonormal columns `cols`."""
+        builder = cls(cols.shape[0])
+        builder._q[:, : cols.shape[1]] = cols
+        builder._r = cols.shape[1]
+        return builder
 
     def copy(self) -> "_SpanBuilder":
         other = _SpanBuilder.__new__(_SpanBuilder)
@@ -188,78 +207,6 @@ class _SpanBuilder:
 
     def freeze(self) -> "OrthoBasis":
         return OrthoBasis._trusted(self.dim, self._q[:, : self._r].copy())
-
-
-def _dots(x: np.ndarray) -> np.ndarray:
-    """``x[k].dot(x[k])`` for every row k, each one the same BLAS dot."""
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
-class _SpanStack:
-    """Span builders over R^dim whose bases share one ``(m, dim, dim)`` array.
-
-    ``builders[k]`` is an ordinary _SpanBuilder on item k of the array, so
-    a caller may extend one builder alone. :meth:`add` extends the builders
-    a mask selects by one column each. When it selects every builder and
-    all of them have the same rank, it does so with one batched numpy call
-    per step of _SpanBuilder.add: item by item, such a call makes the BLAS
-    call the single builder makes, on operands with the same layout, so the
-    results are the same to the bit. Otherwise it calls each selected
-    builder's add.
-    """
-
-    __slots__ = ("q", "builders")
-
-    def __init__(self, m: int, dim: int):
-        self.q = np.empty((m, dim, dim))
-        self.builders = [_SpanBuilder._on(self.q[k]) for k in range(m)]
-
-    def add(self, cols: np.ndarray, take=None) -> list[np.ndarray | None]:
-        """Add ``cols[k]`` to ``builders[k]`` for every k that `take`
-        selects (every k when `take` is None); ``cols[k]`` of the others is
-        never read.
-
-        BLAS results depend on a vector's stride, so ``cols[k]`` must be
-        laid out like the column a caller would pass to one builder.
-        Returns what each ``builders[k].add(cols[k])`` returns, None for
-        the builders not selected.
-        """
-        builders = self.builders
-        if take is None:
-            take = [True] * len(builders)
-        r = builders[0]._r
-        if len(builders) == 1 or not all(take) or any(b._r != r for b in builders):
-            return [b.add(col) if t else None for b, col, t in zip(builders, cols, take)]
-        # _norm's ravel copies strided rows; its dot runs on the copies.
-        norm0 = np.sqrt(_dots(np.ascontiguousarray(cols)))
-        if r:
-            q = self.q[:, :, :r]
-            qt = q.transpose(0, 2, 1)
-            x = cols[:, :, None]
-            w = x - q @ (qt @ x)
-            w -= q @ (qt @ w)
-            w = w[:, :, 0]
-            norm_w = np.sqrt(_dots(w))
-        else:
-            w, norm_w = cols, norm0
-        accept = (norm0 != 0.0) & ~(norm_w <= RANK_TOL * (1.0 + norm0))
-        if r == self.q.shape[1]:
-            if accept.any():
-                # No room for the column: fail as the single builder fails.
-                return [b.add(col) for b, col in zip(builders, cols)]
-            return [None] * len(builders)
-        if accept.all():
-            np.divide(w, norm_w[:, None], out=self.q[:, :, r])
-        else:
-            self.q[accept, :, r] = w[accept] / norm_w[accept, None]
-        out: list[np.ndarray | None] = []
-        for builder, taken in zip(builders, accept.tolist()):
-            if taken:
-                builder._r = r + 1
-                out.append(builder._q[:, r])
-            else:
-                out.append(None)
-        return out
 
 
 class OrthoBasis:
@@ -341,7 +288,7 @@ class OrthoBasis:
             raise DimensionError(
                 f"col: expected length {self._dim}, got {col.shape[0]}"
             )
-        builder = self._to_builder()
+        builder = _SpanBuilder.holding(self._cols)
         accepted = builder.add(col)
         if accepted is None:
             return self, True
@@ -370,10 +317,3 @@ class OrthoBasis:
             raise DimensionError(f"v: expected length {self._dim}, got {v.shape[0]}")
         nv2 = float(v @ v)
         return nv2 - self.project_norm_sq(v) <= tol_sq
-
-    def _to_builder(self) -> _SpanBuilder:
-        builder = _SpanBuilder(self._dim)
-        builder._q[:, : self.rank] = self._cols
-        builder._r = self.rank
-        return builder
-

@@ -13,7 +13,6 @@ All public actuator indices are 1-based.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .errors import (
 from .numkit import (
     OrthoBasis,
     _SpanBuilder,
-    _SpanStack,
     as_matrix,
     as_square,
     as_vector,
@@ -91,21 +89,17 @@ class LtiSystem:
     @cached_property
     def _closures(self) -> dict[int, _SpanBuilder]:
         """The closures built so far, by 0-based index. An index's closure
-        is built when a call first needs it (see _closures_of) and is shared
-        by every later call on this system. Safe to share because the system
+        is built when a call first needs it (see _closure) and is shared by
+        every later call on this system. Safe to share because the system
         is frozen and `a` is read-only; treat the builders as read-only."""
         return {}
 
-    def _closures_of(self, indices) -> list[_SpanBuilder]:
-        """The closures of the 0-based `indices`, in order. The missing ones
-        are built side by side, in batches of _STACK_BYTES."""
+    def _closure(self, i0: int) -> _SpanBuilder:
+        """The closure of 0-based index `i0`, built on first use."""
         table = self._closures
-        missing = [i0 for i0 in dict.fromkeys(indices) if i0 not in table]
-        step = max(1, _STACK_BYTES // (8 * self.n**2))
-        for start in range(0, len(missing), step):
-            batch = missing[start : start + step]
-            table.update(zip(batch, _index_closures(self.a, batch)))
-        return [table[i0] for i0 in indices]
+        if i0 not in table:
+            table[i0] = _index_closure(self.a, i0)
+        return table[i0]
 
     @cached_property
     def _output_closures(self) -> dict[int, _SpanBuilder]:
@@ -119,7 +113,7 @@ class LtiSystem:
         first use from the closure's columns in order."""
         table = self._output_closures
         if i0 not in table:
-            (closure,) = self._closures_of([i0])
+            closure = self._closure(i0)
             if self.w is not None:
                 image = _SpanBuilder(self.output_dim)
                 for k in range(closure.rank):
@@ -330,35 +324,24 @@ def _check_actuators(sys: LtiSystem, delta: ActuatorSet) -> None:
         )
 
 
-#: Size in bytes of the span stacks that closures are built in, a batch of
-#: indices at a time. Larger batches run fewer numpy calls but hold more
-#: memory at once.
-_STACK_BYTES = 1 << 20
+def _index_closure(a: np.ndarray, i0: int) -> _SpanBuilder:
+    """Closure of the 0-based index `i0`: the smallest A-invariant subspace
+    containing the i0-th unit vector, the span of its Krylov columns.
 
-
-def _index_closures(a: np.ndarray, indices: list[int]) -> list[_SpanBuilder]:
-    """Closures of the 0-based `indices`, built side by side in one stack.
-
-    The closure of index i is the smallest A-invariant subspace containing
-    the i-th unit vector: the span of its Krylov columns, built by a
-    breadth-first sweep. Step j applies `a` to accepted direction j and
-    adds the result, until no accepted direction is left to apply or the
-    span is the whole space. Every closure takes step j at the same time;
-    only the closures still growing take a column.
+    Built by a breadth-first sweep: step j applies `a` to accepted
+    direction j and adds the result, until no accepted direction is left
+    to apply or the span is the whole space.
     """
-    m, n = len(indices), a.shape[0]
-    stack = _SpanStack(m, n)
-    # Step j multiplies column j of every closure, and one that stopped
-    # growing may never have written it: zeroed, it holds no garbage.
-    stack.q.fill(0.0)
-    seeds = np.zeros((m, n))
-    seeds[np.arange(m), indices] = 1.0
-    stack.add(seeds)
-    for j in itertools.count():
-        live = [j < b.rank < n for b in stack.builders]
-        if not any(live):
-            return stack.builders
-        stack.add((a @ stack.q[:, :, j, None])[:, :, 0], live)
+    n = a.shape[0]
+    builder = _SpanBuilder(n)
+    seed = np.zeros(n)
+    seed[i0] = 1.0
+    builder.add(seed)
+    j = 0
+    while j < builder.rank < n:
+        builder.add(a @ builder.column(j))
+        j += 1
+    return builder
 
 
 class _ReachAccumulator:
@@ -391,8 +374,7 @@ class _ReachAccumulator:
         Returns the output-space directions that were newly accepted, in
         acceptance order.
         """
-        table = self.sys._closures
-        src = table[i0] if i0 in table else self.sys._closures_of([i0])[0]
+        src = self.sys._closure(i0)
         w = self.sys.w
         added: list[np.ndarray] = []
         for k in range(src.rank):
@@ -427,7 +409,6 @@ class _ReachAccumulator:
 
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
-    sys._closures_of([i - 1 for i in delta.indices])
     acc = _ReachAccumulator(sys)
     for i in delta.indices:
         acc.include(i - 1)
@@ -530,7 +511,8 @@ def _subset_residuals(
     subset is its prefix's accumulator copied and extended by one index,
     so each is built at most once; a prefix with too few indices left to
     reach `least` is not extended. The walk holds at most two accumulators
-    per level of depth. Every closure is built first, in one batch.
+    per level of depth. A closure is built when the walk first folds its
+    index.
 
     Sharing rule: when extending a subset X of `size` indices by index i
     leaves the state rank unchanged, the fold wrote nothing, so X + {i} has
@@ -546,7 +528,6 @@ def _subset_residuals(
     larger state span changes what later folds add.
     """
     n = sys.n
-    sys._closures_of(range(n))
     nv2 = float(v @ v)
 
     def extensions(acc, mask, size, start, res):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError, InputError
+from .numkit import as_int
 from .reachcore import (
     EXACT_TOL,
     N_BRUTE,
@@ -45,14 +46,14 @@ class HittingSetInstance:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m = int(self.m)
+        m = as_int(self.m, "m")
         if m < 1:
             raise InputError("m: must be at least 1")
         object.__setattr__(self, "m", m)
         norm = []
         seen: set[int] = set()
         for k, raw in enumerate(self.sets):
-            members = tuple(sorted({int(j) for j in raw}))
+            members = tuple(sorted({as_int(j, f"sets[{k}]") for j in raw}))
             if not members:
                 raise InputError(f"sets[{k}]: must be non-empty")
             for j in members:
@@ -89,7 +90,7 @@ class HittingSetInstance:
             sets = data["sets"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"instance: missing field {exc}") from exc
-        if not isinstance(sets, list):
+        if not (isinstance(sets, list) and all(isinstance(s, list) for s in sets)):
             raise InputError("instance: 'sets' must be a list of lists")
         return cls(m=m, sets=tuple(tuple(s) for s in sets))
 

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalInfeasibilityError
-from .numkit import RANK_TOL, _SpanBuilder, as_vector
+from .numkit import RANK_TOL, _SpanBuilder, as_positive, as_vector
 from .reachcore import (
     EXACT_TOL,
     N_BRUTE,
@@ -81,9 +81,7 @@ class Ball:
 
     def __post_init__(self):
         center = as_vector(self.center, "center")
-        radius_sq = float(self.radius_sq)
-        if not (np.isfinite(radius_sq) and radius_sq > 0.0):
-            raise InputError(f"radius_sq: must be positive and finite, got {radius_sq}")
+        radius_sq = as_positive(self.radius_sq, "radius_sq")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius_sq", radius_sq)
@@ -195,13 +193,11 @@ class _GreedyPath:
         meets = (self.support & hit).any(axis=1)
         self.support[meets] |= hit
         self.blocks.append((d, hit, r))
-        builder = _holding(d)
+        builder = _SpanBuilder.holding(d)
         for i0 in [i0 for i0 in self.bases if meets[i0]]:
             self._absorb(i0, d, builder, r)
         if acc.out is not None:
-            o = acc.out.rank
-            self.out = _SpanBuilder(acc.out.dim)
-            self.out._q[:, :o] = acc.out._q[:, :o]
+            self.out = acc.out.copy()
             for i0, (z, _) in self.bases.items():
                 self.scores[i0] = self._fold_score(z)
         self._bound()
@@ -245,7 +241,7 @@ class _GreedyPath:
         closure and its output closure, replaying every earlier pick's
         directions in order."""
         sys = self.acc.sys
-        (closure,) = sys._closures_of([i0])
+        closure = sys._closure(i0)
         self.pending[i0] = False
         self.bases[i0] = (closure._q[:, : closure.rank], np.ones(closure.rank))
         self.scores[i0] = sys._output_closure(i0).project_norm_sq(self.v)
@@ -253,7 +249,7 @@ class _GreedyPath:
         for d, hit, r in self.blocks:
             if (support & hit).any():
                 support |= hit
-                self._absorb(i0, d, _holding(d), r)
+                self._absorb(i0, d, _SpanBuilder.holding(d), r)
                 if i0 not in self.bases:
                     return
         if self.blocks and self.acc.out is not None:
@@ -288,14 +284,6 @@ class _GreedyPath:
             if not pending[p] and scores[p] >= max(top, waiting.max()) - self.band:
                 return p
             self._build(int(waiting.argmax()))
-
-
-def _holding(d: np.ndarray) -> _SpanBuilder:
-    """A builder over R^n whose span is the orthonormal columns `d`."""
-    builder = _SpanBuilder(d.shape[0])
-    builder._q[:, : d.shape[1]] = d
-    builder._r = d.shape[1]
-    return builder
 
 
 def _score(z: np.ndarray, v: np.ndarray) -> float:
@@ -361,9 +349,7 @@ def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]
 
     Returns the selected set and the pick-by-pick trace.
     """
-    eps = float(eps)
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise InputError(f"eps: must be positive and finite, got {eps}")
+    eps = as_positive(eps, "eps")
     v = _check_system_vector(sys, v)
     chosen, residuals = _GreedyPath(sys, v).prefix(eps)
     return _greedy_trace(sys.n, chosen, residuals, eps)
@@ -393,9 +379,7 @@ def bisection_exact(
     that run's trace. Raises NumericalInfeasibilityError when exact
     feasibility is unreachable even at the floor.
     """
-    accuracy = float(accuracy)
-    if not (np.isfinite(accuracy) and accuracy > 0.0):
-        raise InputError(f"accuracy: must be positive and finite, got {accuracy}")
+    accuracy = as_positive(accuracy, "accuracy")
     v = _check_system_vector(sys, v)
     nv2 = float(v @ v)
     if nv2 == 0.0:

@@ -166,6 +166,19 @@ class TestReach:
         assert report["residual_sq"] == 0.0
         assert report["iterations"] == 0
 
+    @pytest.mark.parametrize("x1", ["0,0", "1,0"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--exact"], ["--eps", "-1"], ["--exact", "--accuracy", "nan"]],
+        ids=["exact-without-accuracy", "negative-eps", "nan-accuracy"],
+    )
+    def test_flags_are_checked_before_the_zero_transfer_shortcut(
+        self, tmp_path, x1, flags
+    ):
+        code, out, err = run_cli(["reach", diag_system(tmp_path), "--x1", x1, *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_vector_from_file(self, tmp_path):
         vec_path = write_json(tmp_path / "x1.json", [1.0, 1.0])
         code, out, _ = run_cli(
@@ -501,6 +514,40 @@ class TestInputHandling:
             ]
         )
         assert code == 2
+
+
+#: Input files with a malformed scalar, by the subcommand that reads them.
+MALFORMED_SCALARS = {
+    "system-n-text": ("system", {"n": "x", "a": [[1.0, 0.0], [0.0, 2.0]]}),
+    "ball-radius-text": ("balls", [{"center": [1.0, 1.0], "radius_sq": "abc"}]),
+    "ball-radius-null": ("balls", [{"center": [1.0, 1.0], "radius_sq": None}]),
+    "instance-m-text": ("instance", {"m": "x", "sets": [[1]]}),
+    "instance-member-text": ("instance", {"m": 1, "sets": [["a"]]}),
+    "instance-set-not-a-list": ("instance", {"m": 2, "sets": [1, 2]}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SCALARS))
+def test_malformed_scalar_in_an_input_file_exits_2(tmp_path, case):
+    # Run as a process so that an uncaught exception shows as a traceback.
+    kind, payload = MALFORMED_SCALARS[case]
+    path = write_json(tmp_path / f"{kind}.json", payload)
+    argv = {
+        "system": ["reach", path, "--x1", "1,1", "--eps", "1"],
+        "balls": ["subset-reach", diag_system(tmp_path), path],
+        "instance": ["verify", path, "--variant", "lemma1"],
+    }[kind]
+    env = dict(os.environ, PYTHONPATH=str(Path(minreach.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minreach.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestParserReuse:

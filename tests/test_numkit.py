@@ -11,7 +11,6 @@ from minreach import (
     RANK_TOL,
     mat_exp,
 )
-from minreach.numkit import _SpanStack
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -215,87 +214,3 @@ class TestOrthoBasisType:
         assert basis.contains([2.0, 0.0], tol_sq=1e-12)
         assert not basis.contains([0.0, 1.0], tol_sq=1e-12)
 
-
-def same_builder(x, y):
-    return x.rank == y.rank and np.array_equal(x._q[:, : x.rank], y._q[:, : y.rank])
-
-
-class TestSpanStack:
-    """The batched add must give the single-builder results to the bit."""
-
-    def seeded(self, rng, m, dim, ranks):
-        stack = _SpanStack(m, dim)
-        for builder, rank in zip(stack.builders, ranks):
-            for _ in range(rank):
-                builder.add(rng.standard_normal(dim))
-        singles = [builder.copy() for builder in stack.builders]
-        return stack, singles
-
-    @pytest.mark.parametrize("dim", [3, 13, 50, 101])
-    @pytest.mark.parametrize("strided", [False, True])
-    def test_batched_add_matches_single_builders(self, dim, strided):
-        rng = np.random.default_rng(dim)
-        for rank in sorted({0, 1, dim // 2, dim - 1}):
-            m = 7
-            stack, singles = self.seeded(rng, m, dim, [rank] * m)
-            # Columns of a square buffer are strided like closure columns.
-            buf = rng.standard_normal((dim, max(dim, m)) if strided else (m, dim))
-            cols = buf[:, :m].T if strided else buf
-            cols[0] = 0.0
-            if rank:
-                cols[1] = stack.builders[1]._q[:, :rank] @ rng.standard_normal(rank)
-            added = stack.add(cols)
-            expected = [single.add(col) for single, col in zip(singles, cols)]
-            assert [d is None for d in added] == [d is None for d in expected]
-            assert added[0] is None
-            assert (rank == 0) == (added[1] is not None)
-            for d, e in zip(added, expected):
-                assert d is None or np.array_equal(d, e)
-            for builder, single in zip(stack.builders, singles):
-                assert same_builder(builder, single)
-
-    def test_batch_view_when_every_column_is_accepted(self):
-        rng = np.random.default_rng(4)
-        stack, singles = self.seeded(rng, 5, 9, [3] * 5)
-        cols = rng.standard_normal((5, 9))
-        added = stack.add(cols)
-        # Each accepted column is a view of its item of the shared array.
-        assert np.array_equal(stack.q[:, :, 3], np.array(added))
-        for builder, single, col, d in zip(stack.builders, singles, cols, added):
-            assert np.array_equal(d, single.add(col))
-            assert same_builder(builder, single)
-
-    def test_unequal_and_full_ranks_match_single_adds(self):
-        rng = np.random.default_rng(5)
-        for ranks in ([1, 2, 3], [4, 4, 4]):
-            stack, singles = self.seeded(rng, 3, 4, ranks)
-            cols = rng.standard_normal((3, 4))
-            added = stack.add(cols)
-            expected = [single.add(col) for single, col in zip(singles, cols)]
-            assert [d is None for d in added] == [d is None for d in expected]
-            for builder, single in zip(stack.builders, singles):
-                assert same_builder(builder, single)
-
-    def test_masked_add_leaves_unselected_builders_alone(self):
-        rng = np.random.default_rng(7)
-        for take in ([True, False, True, True], [False] * 4, [True] * 4):
-            stack, singles = self.seeded(rng, 4, 6, [2] * 4)
-            cols = rng.standard_normal((4, 6))
-            cols[~np.array(take)] = np.nan
-            added = stack.add(cols, np.array(take))
-            expected = [s.add(c) if t else None for s, c, t in zip(singles, cols, take)]
-            assert [d is None for d in added] == [d is None for d in expected]
-            for d, e in zip(added, expected):
-                assert d is None or np.array_equal(d, e)
-            for builder, single in zip(stack.builders, singles):
-                assert same_builder(builder, single)
-
-    def test_full_spans_fail_on_a_column_outside_them_as_one_builder_does(self):
-        rng = np.random.default_rng(6)
-        stack, singles = self.seeded(rng, 3, 4, [4, 4, 4])
-        cols = rng.standard_normal((3, 4))
-        cols[1] = np.nan
-        with pytest.raises(IndexError):
-            singles[1].add(cols[1])
-        with pytest.raises(IndexError):
-            stack.add(cols)

@@ -350,13 +350,13 @@ class TestSubsetReach:
 def counted_builds(monkeypatch):
     """The 0-based indices whose closures get built from now on, in order."""
     built = []
-    build = reachcore._index_closures
+    build = reachcore._index_closure
 
-    def counting(a, indices):
-        built.extend(indices)
-        return build(a, indices)
+    def counting(a, i0):
+        built.append(i0)
+        return build(a, i0)
 
-    monkeypatch.setattr(reachcore, "_index_closures", counting)
+    monkeypatch.setattr(reachcore, "_index_closure", counting)
     return built
 
 
@@ -460,6 +460,22 @@ class TestSharedClosureCache:
         subset_reach(sys_, balls)
         assert built == [0]
         assert list(sys_._output_closures) == [0]
+
+    def test_brute_force_opt_builds_only_the_closures_it_folds(self, monkeypatch):
+        # The size-1 walk stops at {1}, which reaches e_1, before it folds
+        # any other index.
+        built = counted_builds(monkeypatch)
+        n = 12
+        v = np.zeros(n)
+        v[0] = 1.0
+        assert brute_force_opt(star(n - 1), v, 1e-9).indices == (1,)
+        assert built == [0]
+
+    def test_epsilon_a_builds_each_closure_once(self, monkeypatch):
+        built = counted_builds(monkeypatch)
+        n = 10
+        epsilon_a(erdos_renyi(n, 4), random_target(n, 4))
+        assert sorted(built) == list(range(n))
 
     def test_system_is_freed_without_the_cycle_collector(self):
         # Every table a solve leaves lives on the system, so dropping the
