@@ -84,11 +84,16 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 
 def as_int(x, name: str) -> int:
-    """``int(x)``, raising InputError where int() raises."""
+    """``int(x)`` when that equals `x`, so ``2.0`` gives 2; InputError
+    otherwise, also where int() raises. A number with a fraction, such as
+    ``1.9``, or a string is refused, not truncated or parsed."""
     try:
-        return int(x)
+        value = int(x)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name}: expected an integer, got {x!r}") from exc
+    if value != x:
+        raise InputError(f"{name}: expected an integer, got {x!r}")
+    return value
 
 
 def as_positive(x, name: str) -> float:

@@ -102,6 +102,18 @@ class LtiSystem:
         return table[i0]
 
     @cached_property
+    def _first_folds(self) -> dict[int, tuple[_SpanBuilder, _SpanBuilder | None]]:
+        """The folds of one index into the empty set made so far, by 0-based
+        index: the ``(state, out)`` builders that
+        ``_ReachAccumulator(self).include(i0)`` leaves. Such a fold is the
+        same whatever the target, so _ReachAccumulator.extended makes it
+        once and every greedy, subset walk and set call on this system
+        shares it. Builders, not an accumulator, which refers back to the
+        system and would make a reference cycle. Their bases are read-only,
+        so a write into a shared fold raises."""
+        return {}
+
+    @cached_property
     def _output_closures(self) -> dict[int, _SpanBuilder]:
         """The spans W C_i built so far of the closures C_i, by 0-based
         index, in the output space: the closure table itself without an
@@ -349,9 +361,12 @@ class _ReachAccumulator:
 
     Maintains a state-space span (where invariance lives) and, when the
     system carries an output weight, a parallel output-space span that
-    projections and gains are measured in. Copies serve the greedy, which
-    folds its winner into a copy, and the exhaustive subset walk, which
-    extends a copy of each subset's prefix.
+    projections and gains are measured in. `extended` serves the greedy,
+    which folds its winner into a new accumulator, the exhaustive subset
+    walk, which extends each subset's prefix, and _accumulate. A fold into
+    the empty set comes from the system's shared table and holds read-only
+    builders: `include` writes only into an accumulator that `copy` or the
+    constructor made.
     """
 
     __slots__ = ("sys", "state", "out")
@@ -366,6 +381,27 @@ class _ReachAccumulator:
         other.sys = self.sys
         other.state = self.state.copy()
         other.out = None if self.out is None else self.out.copy()
+        return other
+
+    def extended(self, i0: int) -> "_ReachAccumulator":
+        """A new accumulator equal to this one with the closure of 0-based
+        index `i0` folded in. From the empty set it wraps the system's
+        shared fold (see LtiSystem._first_folds), made on first use."""
+        if self.state.rank:
+            other = self.copy()
+            other.include(i0)
+            return other
+        table = self.sys._first_folds
+        if i0 not in table:
+            fold = _ReachAccumulator(self.sys)
+            fold.include(i0)
+            for builder in (fold.state, fold.out):
+                if builder is not None:
+                    builder._q.setflags(write=False)
+            table[i0] = (fold.state, fold.out)
+        other = _ReachAccumulator.__new__(_ReachAccumulator)
+        other.sys = self.sys
+        other.state, other.out = table[i0]
         return other
 
     def include(self, i0: int) -> list[np.ndarray]:
@@ -409,9 +445,17 @@ class _ReachAccumulator:
 
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
+    """The accumulator of `delta`, its indices folded in ascending order:
+    the shared fold of the smallest, then one copy that takes the rest."""
     acc = _ReachAccumulator(sys)
-    for i in delta.indices:
-        acc.include(i - 1)
+    if not delta.indices:
+        return acc
+    first, *rest = delta.indices
+    acc = acc.extended(first - 1)
+    if rest:
+        acc = acc.copy()
+        for i in rest:
+            acc.include(i - 1)
     return acc
 
 
@@ -508,11 +552,12 @@ def _subset_residuals(
 
     Subsets are walked depth first, each index included before it is
     skipped, so the subsets of each size come in lexicographic order. Each
-    subset is its prefix's accumulator copied and extended by one index,
-    so each is built at most once; a prefix with too few indices left to
-    reach `least` is not extended. The walk holds at most two accumulators
-    per level of depth. A closure is built when the walk first folds its
-    index.
+    subset is its prefix's accumulator extended by one index
+    (_ReachAccumulator.extended), so each is built at most once per walk,
+    and each single index at most once per system; a prefix with too few
+    indices left to reach `least` is not extended. The walk holds at most
+    two accumulators per level of depth. A closure is built when the walk
+    first folds its index.
 
     Sharing rule: when extending a subset X of `size` indices by index i
     leaves the state rank unchanged, the fold wrote nothing, so X + {i} has
@@ -537,8 +582,7 @@ def _subset_residuals(
             if size == k or n - i0 < least - size:
                 return
             bit = 1 << i0
-            child = acc.copy()
-            child.include(i0)
+            child = acc.extended(i0)
             if (
                 child.state_rank == acc.state_rank
                 and least <= size

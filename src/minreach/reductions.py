@@ -53,6 +53,12 @@ class HittingSetInstance:
         norm = []
         seen: set[int] = set()
         for k, raw in enumerate(self.sets):
+            try:
+                raw = tuple(raw)
+            except TypeError as exc:
+                raise InputError(
+                    f"sets[{k}]: expected a set of integers, got {raw!r}"
+                ) from exc
             members = tuple(sorted({as_int(j, f"sets[{k}]") for j in raw}))
             if not members:
                 raise InputError(f"sets[{k}]: must be non-empty")

@@ -297,8 +297,9 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
 
     Each step picks the smallest index whose score is positive and within
     ``path.band`` of the largest score (see _GreedyPath.pick), and folds it
-    into a copy of the accumulator. The fold judges the pick: one that does
-    not lower the residual leaves the candidates, and the step picks again.
+    into a new accumulator (_ReachAccumulator.extended). The fold judges
+    the pick: one that does not lower the residual leaves the candidates,
+    and the step picks again.
     With no positive score left, the path records why in ``path.stuck``.
     """
     v = path.v
@@ -313,8 +314,7 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
                     "stuck at squared residual {res!r}"
                 )
                 return
-            trial = path.acc.copy()
-            trial.include(pick)
+            trial = path.acc.extended(pick)
             new_res = trial.residual_sq(v)
             path.drop(pick)
             if new_res < res:
@@ -438,7 +438,8 @@ def subset_reach(
     with the 1-based index of its ball; ties go to the smallest index.
     Every ball's run shares the system's closures, so an index's closure
     is built at most once across all balls, and only when some run needs
-    it.
+    it. The runs also share each first pick's fold into the empty set
+    (see LtiSystem._first_folds), as does a later set call on the system.
     """
     balls = list(balls)
     if not balls:

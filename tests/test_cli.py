@@ -550,6 +550,30 @@ def test_malformed_scalar_in_an_input_file_exits_2(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+#: Input files whose integer fields hold a number with a fraction, and a
+#: command that reads each; int() would truncate every one of them to 1.
+NON_INTEGRAL = {
+    "system-n": (
+        {"n": 1.9, "a": [[1.0]]},
+        ["reach", "{path}", "--x1", "1", "--eps", "1"],
+    ),
+    "instance-m-and-member": (
+        {"m": 1.5, "sets": [[1.7]]},
+        ["verify", "{path}", "--variant", "lemma1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGRAL))
+def test_non_integral_number_in_an_integer_field_exits_2(tmp_path, case):
+    payload, argv = NON_INTEGRAL[case]
+    path = write_json(tmp_path / "input.json", payload)
+    code, out, err = run_cli([arg.format(path=path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 class TestParserReuse:
     def test_calls_in_one_process_match_first_calls(self, tmp_path):
         # The parser is built once per process; a parse error must leave it

@@ -79,6 +79,23 @@ class TestHittingSetInstance:
         with pytest.raises(InputError):
             HittingSetInstance(m=0, sets=((1,),))
 
+    def test_rejects_a_set_that_is_not_iterable(self):
+        with pytest.raises(InputError, match=r"sets\[0\]"):
+            HittingSetInstance(2, (1, 2))
+
+    @pytest.mark.parametrize(
+        "m, sets", [(1.5, ((1,),)), (2, ((1,), (1.7, 2)))], ids=["m", "member"]
+    )
+    def test_rejects_a_number_with_a_fraction(self, m, sets):
+        with pytest.raises(InputError):
+            HittingSetInstance(m, sets)
+
+    def test_accepts_an_integral_float(self):
+        assert HittingSetInstance(2.0, ((1.0, 2),)).to_dict() == {
+            "m": 2,
+            "sets": [[1, 2]],
+        }
+
     def test_dict_round_trip(self):
         data = {"m": 3, "sets": [[1, 2], [3]]}
         instance = HittingSetInstance.from_dict(data)

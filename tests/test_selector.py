@@ -495,12 +495,63 @@ class TestSharedClosureCache:
             while solves:
                 sys_, solve = solves.pop()
                 solve(sys_)
-                assert {"_closures", "_output_closures"} <= vars(sys_).keys()
+                tables = {"_closures", "_output_closures", "_first_folds"}
+                assert tables <= vars(sys_).keys()
                 ref = weakref.ref(sys_)
                 del sys_
                 assert ref() is None
         finally:
             gc.enable()
+
+
+class TestSharedFirstFolds:
+    """A fold of one index into the empty set is made once per system and
+    shared by every target, walk and set call."""
+
+    def test_set_call_after_subset_reach_makes_no_fold(self, include_calls):
+        # Every ball picks index 1 first, and its fold reaches every ball.
+        n = 40
+        rng = np.random.default_rng(197)
+        sys_ = LtiSystem(erdos_renyi(n, 2).a, rng.standard_normal((n // 2, n)))
+        balls = [Ball(sys_.w @ random_target(n, 20 + k), 0.05) for k in range(8)]
+        delta, ball_index = subset_reach(sys_, balls)
+        residual(sys_, delta, balls[ball_index - 1].center)
+        assert delta.indices == (1,)
+        assert include_calls == [0]
+
+    @pytest.mark.parametrize("kind", ["er", "blocks", "weighted"])
+    def test_shared_folds_equal_fresh_folds_and_are_read_only(self, kind):
+        rng = np.random.default_rng(["er", "blocks", "weighted"].index(kind))
+        for seed in range(3):
+            n = int(rng.integers(8, 30))
+            if kind == "blocks":
+                a = np.zeros((n, n))
+                lo = 0
+                while lo < n:
+                    hi = min(n, lo + int(rng.integers(2, 6)))
+                    a[lo:hi, lo:hi] = rng.standard_normal((hi - lo, hi - lo))
+                    lo = hi
+                sys_ = LtiSystem(a)
+            else:
+                sys_ = erdos_renyi(n, seed)
+                if kind == "weighted":
+                    q = int(rng.integers(1, n + 3))
+                    sys_ = LtiSystem(sys_.a, rng.standard_normal((q, n)))
+            for i0 in range(n):
+                acc = _ReachAccumulator(sys_).extended(i0)
+                fresh = _ReachAccumulator(sys_)
+                fresh.include(i0)
+                assert sys_._first_folds[i0] == (acc.state, acc.out)
+                assert _ReachAccumulator(sys_).extended(i0).state is acc.state
+                for shared, own in [(acc.state, fresh.state), (acc.out, fresh.out)]:
+                    if own is None:
+                        assert shared is None
+                        continue
+                    r = own.rank
+                    assert (shared.dim, shared.rank) == (own.dim, r)
+                    assert shared._q[:, :r].tobytes() == own._q[:, :r].tobytes()
+                    with pytest.raises(ValueError):
+                        shared._q[:, r - 1] = 0.0
 
 
 class TestBruteForceOpt:
@@ -526,16 +577,20 @@ class TestBruteForceOpt:
         # Every index carries a part of v, so no set of at most 11 of the 12
         # reaches it. The walk for size k extends a subset S only when the
         # indices above S's largest can still fill it up to k.
+        # A single index is folded into the empty set once per system, not
+        # once per walk.
         n, k_max = 12, 11
         sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)))
         assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
-        expected = sum(
-            1
+        walked = [
+            combo
             for k in range(k_max + 1)
             for size in range(1, k + 1)
             for combo in itertools.combinations(range(n), size)
             if n - 1 - combo[-1] >= k - size
-        )
+        ]
+        singles = {combo for combo in walked if len(combo) == 1}
+        expected = len(singles) + sum(len(combo) > 1 for combo in walked)
         assert len(include_calls) == expected
 
     def test_rejects_negative_eps(self):
