@@ -86,7 +86,10 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 def as_int(x, name: str) -> int:
     """``int(x)`` when that equals `x`, so ``2.0`` gives 2; InputError
     otherwise, also where int() raises. A number with a fraction, such as
-    ``1.9``, or a string is refused, not truncated or parsed."""
+    ``1.9``, a string or a boolean is refused, not truncated, parsed or
+    taken as 0 or 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise InputError(f"{name}: expected an integer, got {x!r}")
     try:
         value = int(x)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -29,6 +29,7 @@ from .errors import (
 from .numkit import (
     OrthoBasis,
     _SpanBuilder,
+    as_int,
     as_matrix,
     as_square,
     as_vector,
@@ -134,12 +135,9 @@ class LtiSystem:
         return table[i0]
 
     @cached_property
-    def _reach(self) -> np.ndarray:
-        """Boolean ``(n, n)`` table whose row i marks the states that i
-        reaches in the digraph of `a`, i itself included, with an edge
-        j -> k when ``a[k, j] != 0``. The closure of i is exactly zero
-        outside row i: each of its columns is a combination of `a`
-        applied to e_i and to earlier columns. Read-only."""
+    def _reach_bits(self) -> tuple[int, ...]:
+        """Row i of `_reach` as an integer bitmask: bit j is set when i
+        reaches state j."""
         n = self.n
         succ = [np.flatnonzero(self.a[:, j]).tolist() for j in range(n)]
         comp = _strong_components(succ)
@@ -147,8 +145,7 @@ class LtiSystem:
         for j, c in enumerate(comp):
             members[c].append(j)
         # Tarjan's algorithm numbers a component after every component it
-        # reaches, so one pass in that order ORs in finished reach sets,
-        # held as integer bitsets.
+        # reaches, so one pass in that order ORs in finished reach sets.
         reach = []
         for c, states in enumerate(members):
             bits = 0
@@ -158,15 +155,24 @@ class LtiSystem:
                     if comp[k] != c:
                         bits |= reach[comp[k]]
             reach.append(bits)
+        return tuple(reach[c] for c in comp)
+
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        """Boolean ``(n, n)`` table whose row i marks the states that i
+        reaches in the digraph of `a`, i itself included, with an edge
+        j -> k when ``a[k, j] != 0``. The closure of i is exactly zero
+        outside row i: each of its columns is a combination of `a`
+        applied to e_i and to earlier columns. Read-only."""
+        n = self.n
         size = (n + 7) // 8
-        packed = b"".join(bits.to_bytes(size, "little") for bits in reach)
-        rows = np.unpackbits(
-            np.frombuffer(packed, np.uint8).reshape(len(reach), size),
+        packed = b"".join(bits.to_bytes(size, "little") for bits in self._reach_bits)
+        table = np.unpackbits(
+            np.frombuffer(packed, np.uint8).reshape(n, size),
             axis=1,
             count=n,
             bitorder="little",
         ).astype(bool)
-        table = rows[comp]
         table.setflags(write=False)
         return table
 
@@ -232,11 +238,11 @@ class ActuatorSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        n = int(self.n)
+        n = as_int(self.n, "n")
         if n < 1:
             raise InputError("n: must be at least 1")
         object.__setattr__(self, "n", n)
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(as_int(i, "indices") for i in self.indices)
         if len(set(idx)) != len(idx):
             raise InputError(f"indices: duplicates in {idx}")
         for i in idx:
@@ -543,7 +549,7 @@ def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
 
 
 def _subset_residuals(
-    sys: LtiSystem, v: np.ndarray, k: int, least: int = 0
+    sys: LtiSystem, v: np.ndarray, k: int, least: int = 0, limit: float | None = None
 ) -> Iterator[tuple[int, float]]:
     """Yield ``(mask, residual_sq)`` of `v` for every subset of at most `k`
     0-based indices that is a subset of one with at least `least`, keyed by
@@ -558,6 +564,19 @@ def _subset_residuals(
     indices left to reach `least` is not extended. The walk holds at most
     two accumulators per level of depth. A closure is built when the walk
     first folds its index.
+
+    Coverage rule, for a `limit` on an unweighted system: a subset is
+    neither folded nor yielded, and nor is any subset below it, when the
+    squared mass of `v` outside its hull exceeds `limit`. The hull is the
+    union of the rows of `LtiSystem._reach` of its indices and, for a
+    subset of fewer than `k` indices, of every index above its largest.
+    Every accumulated column is exactly zero outside the reach of its
+    subset's indices, so each subset left out has a residual of at least
+    that mass less rounding: a caller that passes its threshold plus a
+    rounding slack loses no subset within the threshold. A shared
+    continuation (below) is pruned by X's hull, the smaller one, for both
+    of its copies, which is as sound. With an output weight the output
+    span is not confined to the reach, and `limit` is ignored.
 
     Sharing rule: when extending a subset X of `size` indices by index i
     leaves the state rank unchanged, the fold wrote nothing, so X + {i} has
@@ -574,21 +593,35 @@ def _subset_residuals(
     """
     n = sys.n
     nv2 = float(v @ v)
+    reach = sys._reach_bits
+    if sys.w is not None:
+        limit = None
+    if limit is not None:
+        # suffix[i]: the states that some index >= i reaches.
+        suffix = [0] * (n + 1)
+        for i0 in range(n - 1, -1, -1):
+            suffix[i0] = suffix[i0 + 1] | reach[i0]
+        mass = (v * v).tolist()
 
-    def extensions(acc, mask, size, start, res):
+    def extensions(acc, mask, size, start, res, cover):
         # Every subset mask + T, T a non-empty set of indices >= start,
-        # where `res` is mask's residual.
+        # where `res` is mask's residual and `cover` the states it reaches.
         for i0 in range(start, n):
             if size == k or n - i0 < least - size:
                 return
             bit = 1 << i0
+            child_cover = cover | reach[i0]
+            if limit is not None:
+                hull = child_cover if size + 1 == k else child_cover | suffix[i0 + 1]
+                if sum(m for j, m in enumerate(mass) if not hull >> j & 1) > limit:
+                    continue
             child = acc.extended(i0)
             if (
                 child.state_rank == acc.state_rank
                 and least <= size
                 and size + n - i0 <= k
             ):
-                rest = list(extensions(acc, mask, size, i0 + 1, res))
+                rest = list(extensions(acc, mask, size, i0 + 1, res, cover))
                 yield mask | bit, res
                 for sub_mask, sub_res in rest:
                     yield sub_mask | bit, sub_res
@@ -596,12 +629,14 @@ def _subset_residuals(
                 return
             child_res = nv2 - child.project_norm_sq(v)
             yield mask | bit, child_res
-            yield from extensions(child, mask | bit, size + 1, i0 + 1, child_res)
+            yield from extensions(
+                child, mask | bit, size + 1, i0 + 1, child_res, child_cover
+            )
 
     root = _ReachAccumulator(sys)
     root_res = nv2 - root.project_norm_sq(v)
     yield 0, root_res
-    yield from extensions(root, 0, 0, 0, root_res)
+    yield from extensions(root, 0, 0, 0, root_res, 0)
 
 
 def epsilon_a(sys: LtiSystem, v) -> float:
@@ -614,8 +649,9 @@ def epsilon_a(sys: LtiSystem, v) -> float:
 
     Exhaustive over all 2^n subsets; requires ``n <= N_BRUTE``. The
     residuals come from one full subset walk, which folds each subtree it
-    can share once (see _subset_residuals); the one-step test is n
-    vectorised passes over the residuals, indexed by subset bitmask.
+    can share once (see _subset_residuals), and are streamed into an array
+    indexed by subset bitmask as the walk yields them, so no list of 2^n
+    pairs is held; the one-step test is n vectorised passes over it.
     """
     if sys.n > N_BRUTE:
         raise CapacityError(
@@ -626,9 +662,9 @@ def epsilon_a(sys: LtiSystem, v) -> float:
     if nv2 == 0.0:
         raise InputError("v: must be non-zero")
     n = sys.n
-    masks, values = zip(*_subset_residuals(sys, v, n))
     res = np.empty(1 << n)
-    res[list(masks)] = values
+    for mask, r in _subset_residuals(sys, v, n):
+        res[mask] = r
     feasible = res <= EXACT_TOL * nv2
     # one_step[mask]: adding some index missing from mask makes it feasible.
     one_step = np.zeros(1 << n, dtype=bool)

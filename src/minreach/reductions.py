@@ -302,7 +302,9 @@ def verify_reduction(
 
     if variant == "lemma3":
         n = instance.m + instance.p
-        found = _min_cone_cardinality(instance, n if k_max is None else int(k_max))
+        found = _min_cone_cardinality(
+            instance, n if k_max is None else as_int(k_max, "k_max")
+        )
         return ReductionReport(
             variant=variant,
             hitting_set_size=h,

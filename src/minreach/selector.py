@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalInfeasibilityError
-from .numkit import RANK_TOL, _SpanBuilder, as_positive, as_vector
+from .numkit import RANK_TOL, _SpanBuilder, as_int, as_positive, as_vector
 from .reachcore import (
     EXACT_TOL,
     N_BRUTE,
@@ -469,6 +469,12 @@ def brute_force_opt(
     in lexicographic index order, and returns the first hit; None when no
     subset of size at most `k_max` (default n) succeeds. Exhaustive;
     requires ``n <= N_BRUTE``.
+
+    On an unweighted system the walk for each size skips, unfolded, every
+    subset whose reach in the digraph of A leaves more than `eps` of
+    ``||v||^2`` uncovered, with ``TIE_BAND_REL * n * ||v||^2`` of slack for
+    rounding (see _subset_residuals). No such subset can have a residual
+    of at most `eps`, so the set returned is the one the full walk finds.
     """
     if sys.n > N_BRUTE:
         raise CapacityError(
@@ -482,15 +488,16 @@ def brute_force_opt(
     if k_max is None:
         k_max = n
     else:
-        k_max = int(k_max)
+        k_max = as_int(k_max, "k_max")
         if k_max < 0:
             raise InputError(f"k_max: must be non-negative, got {k_max}")
         k_max = min(k_max, n)
     # One walk per size: the walk interleaves sizes, and a walk capped at
     # size k can stop at the first hit of size k and skip every prefix that
     # cannot grow to size k.
+    limit = eps + TIE_BAND_REL * n * float(v @ v)
     for k in range(k_max + 1):
-        for mask, res in _subset_residuals(sys, v, k, k):
+        for mask, res in _subset_residuals(sys, v, k, k, limit):
             if mask.bit_count() == k and res <= eps:
                 return ActuatorSet(n, (i0 + 1 for i0 in range(n) if mask >> i0 & 1))
     return None

@@ -574,6 +574,30 @@ def test_non_integral_number_in_an_integer_field_exits_2(tmp_path, case):
     assert err.startswith("error: ")
 
 
+#: Input files whose integer fields hold a JSON boolean; True == 1, so a
+#: check that only compares with int() would take each of them as 1.
+BOOLEAN = {
+    "system-n": (
+        {"n": True, "a": [[1.0]]},
+        ["reach", "{path}", "--x1", "1", "--eps", "1"],
+    ),
+    "instance-m-and-member": (
+        {"m": True, "sets": [[True]]},
+        ["verify", "{path}", "--variant", "lemma1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN))
+def test_boolean_in_an_integer_field_exits_2(tmp_path, case):
+    payload, argv = BOOLEAN[case]
+    path = write_json(tmp_path / "input.json", payload)
+    code, out, err = run_cli([arg.format(path=path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 class TestParserReuse:
     def test_calls_in_one_process_match_first_calls(self, tmp_path):
         # The parser is built once per process; a parse error must leave it

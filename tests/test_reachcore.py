@@ -76,6 +76,22 @@ class TestActuatorSet:
         with pytest.raises(InputError):
             ActuatorSet(4, (5,))
 
+    @pytest.mark.parametrize("n", [3.7, True, "3"])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, n):
+        with pytest.raises(InputError):
+            ActuatorSet(n, (1,))
+
+    @pytest.mark.parametrize("index", [1.5, True])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        with pytest.raises(InputError):
+            ActuatorSet(3, (index,))
+
+    def test_accepts_integral_floats(self):
+        delta = ActuatorSet(3.0, (2.0, np.int64(1)))
+        assert (delta.n, delta.indices) == (3, (1, 2))
+        assert type(delta.n) is int
+        assert all(type(i) is int for i in delta.indices)
+
     def test_empty_and_full(self):
         assert ActuatorSet.empty(3).cardinality == 0
         assert ActuatorSet.full(3).indices == (1, 2, 3)

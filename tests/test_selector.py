@@ -26,6 +26,8 @@ from minreach import (
     TransferSpec,
     bisection_exact,
     brute_force_opt,
+    build_lemma1,
+    build_lemma2,
     epsilon_a,
     erdos_renyi,
     greedy_eps,
@@ -573,14 +575,24 @@ class TestBruteForceOpt:
         with pytest.raises(CapacityError):
             brute_force_opt(LtiSystem(np.eye(17)), np.ones(17), 1e-6)
 
+    @pytest.mark.parametrize("k_max", [2.7, True, "2"])
+    def test_rejects_a_cap_that_is_not_an_integer(self, k_max):
+        with pytest.raises(InputError):
+            brute_force_opt(LtiSystem(np.eye(3)), np.ones(3), 1e-6, k_max)
+
+    def test_accepts_an_integral_float_cap(self):
+        sys_ = LtiSystem(np.eye(3))
+        assert brute_force_opt(sys_, np.ones(3), 1e-6, 2.0) is None
+        assert brute_force_opt(sys_, np.ones(3), 1e-6, 3.0).indices == (1, 2, 3)
+
     def test_walk_for_size_k_skips_prefixes_that_cannot_reach_k(self, include_calls):
         # Every index carries a part of v, so no set of at most 11 of the 12
         # reaches it. The walk for size k extends a subset S only when the
         # indices above S's largest can still fill it up to k.
         # A single index is folded into the empty set once per system, not
-        # once per walk.
+        # once per walk. The output weight keeps the coverage rule out.
         n, k_max = 12, 11
-        sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)))
+        sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)), w=np.eye(n))
         assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
         walked = [
             combo
@@ -591,7 +603,21 @@ class TestBruteForceOpt:
         ]
         singles = {combo for combo in walked if len(combo) == 1}
         expected = len(singles) + sum(len(combo) > 1 for combo in walked)
+        assert expected == 8101
         assert len(include_calls) == expected
+
+    def test_walk_for_size_k_skips_subsets_that_cannot_cover_v(self, include_calls):
+        # Index i reaches only state i, and v is 1 on every state. So the
+        # walk for size k keeps a subset of fewer than k indices only when
+        # it and every index above its largest cover all 12 states, which
+        # holds for the prefixes {1..j} alone; no subset of k < 12 indices
+        # covers them. The walk for size k folds {1..j} for j = 1..k-1,
+        # and {1} is folded once per system: 1 + (1 + ... + 9) = 46.
+        n, k_max = 12, 11
+        sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)))
+        assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
+        assert len(include_calls) == 1 + sum(k - 2 for k in range(3, k_max + 1))
+        assert len(include_calls) == 46
 
     def test_rejects_negative_eps(self):
         with pytest.raises(InputError):
@@ -777,6 +803,200 @@ class TestSharedSubsetWalk:
         assert res[0b010] == 1.0
         assert res[0b011] == 0.0
         assert repr(sorted(res.items())) == repr(sorted(plain_walk(sys_, v, 3)))
+
+
+def reach_rows(a):
+    """Bitmask of the states each index reaches in the digraph of `a`, with
+    an edge j -> k when ``a[k, j] != 0``, by repeated boolean squaring."""
+    n = a.shape[0]
+    r = (a != 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        r = (r.astype(np.int64) @ r.astype(np.int64)) > 0
+    return [sum(1 << k for k in range(n) if r[k, j]) for j in range(n)]
+
+
+def uncovered(v, hull):
+    """Squared mass of `v` outside the states of bitmask `hull`, summed in
+    index order."""
+    return sum(float(v[j]) ** 2 for j in range(len(v)) if not hull >> j & 1)
+
+
+def kept_by_coverage(rows, v, limit, k, mask):
+    """Whether the walk for size k keeps `mask`: no prefix of it (its j
+    smallest indices, j >= 1) has a hull that leaves more than `limit` of
+    v uncovered. A prefix of fewer than k indices also reaches every index
+    above its largest."""
+    n = len(rows)
+    members = [i0 for i0 in range(n) if mask >> i0 & 1]
+    for j in range(1, len(members) + 1):
+        hull = 0
+        for i0 in members[:j]:
+            hull |= rows[i0]
+        if j < k:
+            for i0 in range(members[j - 1] + 1, n):
+                hull |= rows[i0]
+        if uncovered(v, hull) > limit:
+            return False
+    return True
+
+
+def bidiagonal_system(rng, n):
+    """Lower bidiagonal system: index i reaches states i..n."""
+    a = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), -1)
+    return LtiSystem(a)
+
+
+def masked_er_system(rng, n):
+    """Random digraph with about 1.5 edges per state and normal weights."""
+    a = rng.standard_normal((n, n))
+    a[rng.random((n, n)) >= 1.5 / n] = 0.0
+    return LtiSystem(a)
+
+
+@pytest.fixture
+def built_masks(monkeypatch):
+    """The bitmask of every subset that _ReachAccumulator.extended builds,
+    in call order. An accumulator the walk did not build (its root) has
+    mask 0."""
+    masks = {}
+    alive = []
+    built = []
+    extended = _ReachAccumulator.extended
+
+    def recording(acc, i0):
+        child = extended(acc, i0)
+        mask = masks.get(id(acc), 0) | 1 << i0
+        alive.append(child)
+        masks[id(child)] = mask
+        built.append(mask)
+        return child
+
+    monkeypatch.setattr(_ReachAccumulator, "extended", recording)
+    return built
+
+
+class TestCoveragePrune:
+    """brute_force_opt skips a subset whose reach leaves more than eps of v
+    uncovered, with TIE_BAND_REL * n * ||v||^2 of slack, on unweighted
+    systems only."""
+
+    def test_residual_is_at_least_the_uncovered_mass_less_the_slack(self):
+        # The lemma the rule rests on: every accumulated column is zero
+        # outside the reach of its subset's indices.
+        rng = np.random.default_rng(1901)
+        makers = (
+            lambda n: sparse_block_system(rng, n, weighted=False),
+            lambda n: bidiagonal_system(rng, n),
+            lambda n: masked_er_system(rng, n),
+        )
+        checked = pruned = 0
+        for case in range(60):
+            n = 5 + case % 8
+            sys_ = makers[case % 3](n)
+            rows = reach_rows(sys_.a)
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            slack = TIE_BAND_REL * n * float(v @ v)
+            for _ in range(60):
+                combo = tuple(
+                    int(i) for i in rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+                )
+                hull = 0
+                for i0 in combo:
+                    hull |= rows[i0]
+                lost = math.fsum(float(v[j]) ** 2 for j in range(n) if not hull >> j & 1)
+                res = residual(sys_, ActuatorSet(n, [i0 + 1 for i0 in combo]), v)
+                assert res >= lost - slack, (case, combo)
+                checked += 1
+                pruned += lost > 0.0
+        assert checked == 3600
+        assert pruned >= 1000
+
+    def test_boundary_eps_is_a_residual_below_its_uncovered_mass(self):
+        # eps is exactly the residual of the set the search should return,
+        # and rounding left that residual below the mass its reach leaves
+        # uncovered. Without the slack the walk would skip that set.
+        rng = np.random.default_rng(1907)
+        found = []
+        for case in range(400):
+            if len(found) == 12:
+                break
+            n = int(rng.integers(4, 8))
+            sys_ = sparse_block_system(rng, n, weighted=False)
+            v = rng.standard_normal(n)
+            rows = reach_rows(sys_.a)
+            for combo in itertools.chain.from_iterable(
+                itertools.combinations(range(n), k) for k in range(1, n)
+            ):
+                hull = 0
+                for i0 in combo:
+                    hull |= rows[i0]
+                want = tuple(i0 + 1 for i0 in combo)
+                res = residual(sys_, ActuatorSet(n, want), v)
+                if res < uncovered(v, hull) and combinations_oracle(sys_, v, res, n) == want:
+                    for k_max in (None, len(combo), n):
+                        got = brute_force_opt(sys_, v, res, k_max)
+                        assert got is not None and got.indices == want, (case, k_max)
+                    found.append(want)
+                    break
+        assert len(found) == 12
+        assert any(len(want) >= 2 for want in found)
+
+    @pytest.mark.parametrize("kind", ["weighted", "dense", "lemma1", "lemma2"])
+    def test_walks_fold_what_the_full_walks_fold_less_what_coverage_rules_out(
+        self, kind, built_masks, include_calls
+    ):
+        rng = np.random.default_rng(1913)
+        fewer = 0
+        for case in range(12):
+            if kind in ("lemma1", "lemma2"):
+                build = build_lemma1 if kind == "lemma1" else build_lemma2
+                sys_, v = build(random_instance(rng, m_max=5, p_max=4))
+                eps = EXACT_TOL * float(v @ v)
+            else:
+                n = 4 + case % 6
+                if kind == "weighted":
+                    sys_ = sparse_block_system(rng, n, weighted=True)
+                else:
+                    sys_ = random_system(rng, n)
+                v = rng.standard_normal(sys_.output_dim)
+                eps = float(rng.choice([EXACT_TOL, 1e-2, 0.3])) * float(v @ v)
+            k_max = sys_.n
+            got = brute_force_opt(sys_, v, eps)
+            got_masks, got_includes = list(built_masks), len(include_calls)
+            built_masks.clear()
+            include_calls.clear()
+            # The parent's walks: one per size, no limit, on a fresh twin.
+            twin = LtiSystem(sys_.a, sys_.w)
+            full = []
+            for k in range(k_max + 1):
+                start = len(built_masks)
+                hit = next(
+                    (
+                        mask
+                        for mask, res in reachcore._subset_residuals(twin, v, k, k)
+                        if mask.bit_count() == k and res <= eps
+                    ),
+                    None,
+                )
+                full += [(k, mask) for mask in built_masks[start:]]
+                if hit is not None:
+                    break
+            want = None if hit is None else tuple(i0 + 1 for i0 in range(k_max) if hit >> i0 & 1)
+            assert (None if got is None else got.indices) == want, case
+            if kind == "weighted":
+                kept = [mask for _, mask in full]
+            else:
+                rows = reach_rows(sys_.a)
+                limit = eps + TIE_BAND_REL * sys_.n * float(v @ v)
+                kept = [mask for k, mask in full if kept_by_coverage(rows, v, limit, k, mask)]
+            assert got_masks == kept, case
+            if kind in ("weighted", "dense"):
+                assert got_includes == len(include_calls), case
+            fewer += got_includes < len(include_calls)
+            built_masks.clear()
+            include_calls.clear()
+        if kind in ("lemma1", "lemma2"):
+            assert fewer >= 6
 
 
 def exhaustive_hitting_set(instance):
