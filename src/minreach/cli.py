@@ -24,7 +24,14 @@ import numpy as np
 
 from .errors import InputError, NumericalInfeasibilityError
 from .numkit import as_int, as_matrix, as_positive, as_square
-from .reachcore import ActuatorSet, LtiSystem, TransferSpec, residual, transfer_vector
+from .reachcore import (
+    ActuatorSet,
+    LtiSystem,
+    TransferSpec,
+    _check_system_vector,
+    residual,
+    transfer_vector,
+)
 from .reductions import (
     HittingSetInstance,
     build_lemma1,
@@ -107,7 +114,7 @@ def _resolve_transfer(sys_: LtiSystem, args) -> np.ndarray:
     v = transfer_vector(sys_, spec)
     if sys_.w is not None:
         v = sys_.w @ v
-    return v
+    return _check_system_vector(sys_, v, "transfer vector")
 
 
 def _write_trace(path: str, trace: GreedyTrace) -> None:

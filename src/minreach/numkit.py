@@ -20,6 +20,9 @@ from .errors import DimensionError, InputError
 #: is treated as already contained in the span.
 RANK_TOL = 1e-10
 
+#: Spare columns a _SpanBuilder's buffer starts with and keeps on a copy.
+_SPARE = 8
+
 
 def _norm(x: np.ndarray) -> float:
     """``float(np.linalg.norm(x))`` for a 1-D float64 array, bit for bit,
@@ -144,13 +147,22 @@ class _SpanBuilder:
     appended (unit-normalized) or absorbed when its residual norm falls
     at or below ``RANK_TOL * (1 + ||col||)``. Exact-zero columns are
     absorbed without arithmetic.
+
+    The columns live in a ``(dim, capacity)`` buffer sized to the rank,
+    not to dim: it starts at ``min(dim, _SPARE)`` columns, `holding` and
+    `copy` leave ``_SPARE`` columns to spare, and `add` doubles it (up to
+    dim) before a write would fill it. So capacity > rank, or capacity ==
+    dim, always. The ``+1`` matters for the bits: numpy sends a slice
+    ``q[:, :r]`` that fills its whole array down another BLAS path, whose
+    results can differ in the last bits from the ``(dim, dim)`` layout's.
+    A read-only buffer refuses to grow, as it refuses a write.
     """
 
     __slots__ = ("dim", "_q", "_r")
 
     def __init__(self, dim: int):
         self.dim = int(dim)
-        self._q = np.empty((self.dim, self.dim))
+        self._q = np.empty((self.dim, min(self.dim, _SPARE)))
         self._r = 0
 
     @property
@@ -160,22 +172,21 @@ class _SpanBuilder:
     @classmethod
     def holding(cls, cols: np.ndarray) -> "_SpanBuilder":
         """A builder whose span is the orthonormal columns `cols`."""
-        builder = cls(cols.shape[0])
-        builder._q[:, : cols.shape[1]] = cols
-        builder._r = cols.shape[1]
+        dim, r = cols.shape
+        builder = cls.__new__(cls)
+        builder.dim = dim
+        builder._q = np.empty((dim, min(dim, r + _SPARE)))
+        builder._q[:, :r] = cols
+        builder._r = r
         return builder
 
     def copy(self) -> "_SpanBuilder":
-        other = _SpanBuilder.__new__(_SpanBuilder)
-        other.dim = self.dim
-        other._q = np.empty((self.dim, self.dim))
-        other._q[:, : self._r] = self._q[:, : self._r]
-        other._r = self._r
-        return other
+        return self.holding(self._q[:, : self._r])
 
     def column(self, k: int) -> np.ndarray:
-        """Read-only view of accepted column k. Columns never move once
-        accepted, so held views stay valid across later additions."""
+        """View of accepted column k. A column moves when the buffer
+        grows, but an outgrown buffer is never written again, so a held
+        view keeps its values."""
         return self._q[:, k]
 
     def add(self, col: np.ndarray, tol: float | None = None) -> np.ndarray | None:
@@ -201,6 +212,12 @@ class _SpanBuilder:
             w, norm_w = col, norm0
         if norm_w <= (RANK_TOL * (1.0 + norm0) if tol is None else tol):
             return None
+        buf = self._q
+        if r + 1 == buf.shape[1] < self.dim:
+            if not buf.flags.writeable:
+                raise ValueError("cannot grow a read-only span")
+            self._q = np.empty((self.dim, min(self.dim, 2 * buf.shape[1])))
+            self._q[:, :r] = buf[:, :r]
         out = self._q[:, r]
         np.divide(w, norm_w, out=out)
         self._r = r + 1

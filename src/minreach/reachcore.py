@@ -139,7 +139,9 @@ class LtiSystem:
         """Row i of `_reach` as an integer bitmask: bit j is set when i
         reaches state j."""
         n = self.n
-        succ = [np.flatnonzero(self.a[:, j]).tolist() for j in range(n)]
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for j, k in zip(*(ends.tolist() for ends in np.nonzero(self.a.T))):
+            succ[j].append(k)
         comp = _strong_components(succ)
         members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
         for j, c in enumerate(comp):
@@ -327,10 +329,24 @@ class FeasibilityReport:
 
 
 def _check_system_vector(sys: LtiSystem, v, name: str = "v") -> np.ndarray:
+    """`v` as a finite float64 vector of the output space's length.
+
+    A non-zero `v` whose ``v @ v`` overflows to inf or underflows to 0 is
+    refused: no residual or threshold relative to ``||v||^2`` could be
+    stated for it. An exactly zero `v` is accepted.
+    """
     v = as_vector(v, name)
     if v.shape[0] != sys.output_dim:
         raise DimensionError(
             f"{name}: expected length {sys.output_dim}, got {v.shape[0]}"
+        )
+    # np.vdot, unlike v @ v, warns of no overflow, and costs less than
+    # np.errstate; it takes the same BLAS dot for a float64 vector.
+    nv2 = float(np.vdot(v, v))
+    if math.isinf(nv2) or (nv2 == 0.0 and v.any()):
+        raise InputError(
+            f"{name}: squared norm {'overflows' if nv2 else 'underflows'} "
+            f"float64 (largest |entry| {float(np.abs(v).max()):.3g}); rescale it"
         )
     return v
 

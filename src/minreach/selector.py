@@ -447,11 +447,7 @@ def subset_reach(
     for k, ball in enumerate(balls):
         if not isinstance(ball, Ball):
             raise InputError(f"balls[{k}]: expected a Ball")
-        if ball.center.shape[0] != sys.output_dim:
-            raise InputError(
-                f"balls[{k}]: center has length {ball.center.shape[0]}, "
-                f"expected {sys.output_dim}"
-            )
+        _check_system_vector(sys, ball.center, f"balls[{k}]: center")
     best: tuple[ActuatorSet, int] | None = None
     for k, ball in enumerate(balls, start=1):
         delta, _ = greedy_eps(sys, ball.center, ball.radius_sq)

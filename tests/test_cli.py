@@ -264,6 +264,37 @@ class TestReach:
         assert report == expected
 
 
+    @pytest.mark.parametrize("x1", ["0,1e155,1e155,0,0", "0,1e-200,1e-200,0,0"])
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["reach", "--exact", "--accuracy", "1"],
+            ["reach", "--eps", "1e-300"],
+            ["oracle", "--eps", "0"],
+        ],
+        ids=["exact", "greedy", "oracle"],
+    )
+    def test_transfer_whose_squared_norm_is_not_representable_exits_2(
+        self, tmp_path, x1, mode
+    ):
+        # Finite entries whose v @ v overflows to inf or underflows to 0:
+        # no residual or threshold can be stated, so the CLI refuses them.
+        # Run as a process so stderr is the real one.
+        command, *flags = mode
+        argv = [command, star_system(tmp_path), "--x1", x1, *flags]
+        env = dict(os.environ, PYTHONPATH=str(Path(minreach.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "minreach.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.startswith("error: transfer vector: squared norm ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestSubsetReach:
     def test_single_origin_ball(self, tmp_path):
         balls = write_json(

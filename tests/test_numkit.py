@@ -11,6 +11,7 @@ from minreach import (
     RANK_TOL,
     mat_exp,
 )
+from minreach.numkit import _SpanBuilder
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -110,6 +111,30 @@ class TestBasisExtend:
         for _ in range(10):
             basis, _ = basis.extend(rng.standard_normal(3))
         assert basis.rank == 3
+
+
+class TestSpanBuilderBuffer:
+    def test_grows_by_doubling_and_keeps_held_columns(self):
+        rng = np.random.default_rng(8)
+        builder = _SpanBuilder(20)
+        held, widths = [], []
+        for _ in range(20):
+            held.append((builder.add(rng.standard_normal(20)), None))
+            held[-1] = (held[-1][0], held[-1][0].copy())
+            widths.append(builder._q.shape[1])
+        assert widths == [8] * 7 + [16] * 8 + [20] * 5
+        for k, (view, values) in enumerate(held):
+            assert np.array_equal(view, values)
+            assert np.array_equal(builder.column(k), values)
+
+    @pytest.mark.parametrize("rank, width", [(0, 8), (3, 11), (12, 20), (20, 20)])
+    def test_copies_keep_spare_columns(self, rank, width):
+        q, _ = np.linalg.qr(np.random.default_rng(rank).standard_normal((20, 20)))
+        builder = _SpanBuilder.holding(q[:, :rank])
+        other = builder.copy()
+        for b in (builder, other):
+            assert (b.rank, b._q.shape[1]) == (rank, width)
+            assert np.array_equal(b._q[:, :rank], q[:, :rank])
 
 
 class TestProjectNormSq:

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import signal
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -42,7 +43,7 @@ from minreach import (
     transfer_vector,
 )
 from minreach import reachcore
-from minreach.numkit import RANK_TOL
+from minreach.numkit import RANK_TOL, _SpanBuilder
 from minreach.reachcore import _ReachAccumulator
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
@@ -554,6 +555,122 @@ class TestSharedFirstFolds:
                     assert shared._q[:, :r].tobytes() == own._q[:, :r].tobytes()
                     with pytest.raises(ValueError):
                         shared._q[:, r - 1] = 0.0
+
+
+    def test_include_into_a_full_shared_fold_raises_without_growing(self):
+        # Index 1's closure is a 7-state block, so its shared fold has rank
+        # 7 in a buffer of 8 columns: the next accepted column would have
+        # to grow the buffer, and a read-only one must refuse to grow.
+        rng = np.random.default_rng(211)
+        a = np.zeros((12, 12))
+        a[:7, :7] = rng.standard_normal((7, 7))
+        a[7:, 7:] = rng.standard_normal((5, 5))
+        for w in [None, np.eye(12)]:
+            sys_ = LtiSystem(a, w)
+            acc = _ReachAccumulator(sys_).extended(0)
+            for fold in (acc.state, acc.out):
+                if fold is not None:
+                    assert fold.rank + 1 == fold._q.shape[1] < fold.dim
+            q = acc.state._q
+            with pytest.raises(ValueError):
+                acc.include(7)
+            assert (acc.state.rank, acc.state._q) == (7, q)
+            assert not acc.state._q.flags.writeable
+
+
+class TestSpanCapacity:
+    """A span's buffer is sized to its rank: wider than the rank, or as wide
+    as the space, after every add."""
+
+    @pytest.mark.parametrize("kind", ["er", "blocks", "weighted"])
+    def test_capacity_exceeds_rank_after_every_add(self, kind, monkeypatch):
+        narrow = []
+        add = _SpanBuilder.add
+
+        def checked(builder, col, tol=None):
+            out = add(builder, col, tol)
+            width = builder._q.shape[1]
+            assert width > builder.rank or width == builder.dim
+            narrow.append(width < builder.dim)
+            return out
+
+        monkeypatch.setattr(_SpanBuilder, "add", checked)
+        rng = np.random.default_rng(["er", "blocks", "weighted"].index(kind) + 40)
+        for seed in range(3):
+            for n in (12, int(rng.integers(20, 45))):
+                if kind == "blocks":
+                    a = np.zeros((n, n))
+                    lo = 0
+                    while lo < n:
+                        hi = min(n, lo + int(rng.integers(2, 11)))
+                        a[lo:hi, lo:hi] = rng.standard_normal((hi - lo, hi - lo))
+                        lo = hi
+                    sys_ = LtiSystem(a)
+                else:
+                    sys_ = erdos_renyi(n, seed)
+                    if kind == "weighted":
+                        q = int(rng.integers(1, n + 3))
+                        sys_ = LtiSystem(sys_.a, rng.standard_normal((q, n)))
+                v = rng.standard_normal(n)
+                if sys_.w is not None:
+                    v = sys_.w @ v
+                greedy_eps(sys_, v, 1e-3 * float(v @ v))
+                bisection_exact(LtiSystem(sys_.a, sys_.w), v, 1.0)
+                if n == 12:
+                    list(reachcore._subset_residuals(sys_, v, n))
+        assert any(narrow) and not all(narrow)
+
+    def test_greedy_peak_memory_follows_the_closure_ranks(self):
+        # 60 blocks of 5 states: every closure has rank 5, and the greedy
+        # picks one index per block. Buffers of n columns held 43 MB here.
+        rng = np.random.default_rng(300)
+        n = 300
+        a = np.zeros((n, n))
+        for lo in range(0, n, 5):
+            a[lo : lo + 5, lo : lo + 5] = rng.standard_normal((5, 5))
+        v = rng.standard_normal(n)
+        sys_ = LtiSystem(a)
+        tracemalloc.start()
+        try:
+            delta, _ = greedy_eps(sys_, v, 1e-6 * float(v @ v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta.cardinality == 60
+        assert peak < 12e6
+
+
+class TestUnrepresentableSquaredNorm:
+    # Finite, non-zero targets whose v @ v is inf or 0.0. The answer on the
+    # star is {2, 3} at every scale where ||v||^2 is representable.
+    TARGETS = [[0.0, s, s, 0.0, 0.0] for s in (1e155, 1e-200)]
+
+    @pytest.mark.parametrize("v", TARGETS, ids=["overflow", "underflow"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sys_, v: greedy_eps(sys_, v, 1e-300),
+            lambda sys_, v: bisection_exact(sys_, v, 1.0),
+            lambda sys_, v: brute_force_opt(sys_, v, 0.0),
+            lambda sys_, v: epsilon_a(sys_, v),
+            lambda sys_, v: residual(sys_, ActuatorSet(5, (2, 3)), v),
+            lambda sys_, v: is_feasible(sys_, ActuatorSet(5, (2, 3)), v),
+            lambda sys_, v: subset_reach(sys_, [Ball(v, 1.0)]),
+        ],
+        ids=[
+            "greedy", "bisection", "brute", "epsilon_a", "residual", "feasible", "balls"
+        ],
+    )
+    def test_is_refused_by_name(self, v, call):
+        name = r"^(v|balls\[0\]: center): squared norm "
+        with pytest.raises(InputError, match=name):
+            call(star(4), v)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_representable_neighbours_are_solved(self, scale):
+        v = [0.0, scale, scale, 0.0, 0.0]
+        assert bisection_exact(star(4), v, 1.0)[0].indices == (2, 3)
+        assert brute_force_opt(star(4), v, 0.0).indices == (2, 3)
 
 
 class TestBruteForceOpt:
