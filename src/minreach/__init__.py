@@ -42,7 +42,6 @@ from .reachcore import (
 from .reductions import (
     ConeTarget,
     HittingSetInstance,
-    IncidenceMatrix,
     ReductionReport,
     build_lemma1,
     build_lemma2,
@@ -75,7 +74,6 @@ __all__ = [
     "FeasibilityReport",
     "GreedyTrace",
     "HittingSetInstance",
-    "IncidenceMatrix",
     "InputError",
     "LtiSystem",
     "MinreachError",

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import InputError
+from .numkit import as_int
 from .reachcore import LtiSystem
 
 _ADJACENCY_STREAM = 0
@@ -22,7 +23,7 @@ _TARGET_STREAM = 2
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    seed = int(seed)
+    seed = as_int(seed, "seed")
     if not 0 <= seed < 2**64:
         raise InputError(f"seed: expected a 64-bit unsigned integer, got {seed}")
     return np.random.Generator(
@@ -37,7 +38,7 @@ def star(n_leaves: int) -> LtiSystem:
     integrates all leaves: the state matrix has -1 on the diagonal and +1
     in row 1 at every leaf column.
     """
-    n_leaves = int(n_leaves)
+    n_leaves = as_int(n_leaves, "n_leaves")
     if n_leaves < 1:
         raise InputError(f"n_leaves: must be at least 1, got {n_leaves}")
     n = n_leaves + 1
@@ -55,7 +56,7 @@ def erdos_renyi(n: int, seed: int) -> LtiSystem:
     weights are independent standard normal draws and the diagonal is
     zero. Fully determined by (n, seed).
     """
-    n = int(n)
+    n = as_int(n, "n")
     if n < 2:
         raise InputError(f"n: must be at least 2, got {n}")
     p = min(1.0, 2.0 * math.log(n) / n)
@@ -69,7 +70,7 @@ def erdos_renyi(n: int, seed: int) -> LtiSystem:
 
 def random_target(n: int, seed: int) -> np.ndarray:
     """Vector of `n` independent standard normal draws, seed-deterministic."""
-    n = int(n)
+    n = as_int(n, "n")
     if n < 1:
         raise InputError(f"n: must be at least 1, got {n}")
     return _rng(seed, _TARGET_STREAM).standard_normal(n)

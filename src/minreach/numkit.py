@@ -32,6 +32,18 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _absorb_tol(norm: float) -> float:
+    """The residual norm at or below which a column of norm `norm` is
+    absorbed into a span: ``RANK_TOL * (1 + norm)``."""
+    return RANK_TOL * (1.0 + norm)
+
+
+def _proj_sq(q: np.ndarray, v: np.ndarray) -> float:
+    """Squared norm of `v` projected on the orthonormal columns `q`."""
+    c = q.T @ v
+    return float(c @ c)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert `a` to a finite float64 2-D array.
 
@@ -145,8 +157,9 @@ class _SpanBuilder:
     Columns are added one at a time. Each candidate is orthogonalized
     against the current basis, re-orthogonalized once, and either
     appended (unit-normalized) or absorbed when its residual norm falls
-    at or below ``RANK_TOL * (1 + ||col||)``. Exact-zero columns are
-    absorbed without arithmetic.
+    at or below ``_absorb_tol(||col||)``. Exact-zero columns are absorbed
+    without arithmetic. `truncate` rolls the span back to a smaller rank,
+    and `seal` makes it read-only.
 
     The columns live in a ``(dim, capacity)`` buffer sized to the rank,
     not to dim: it starts at ``min(dim, _SPARE)`` columns, `holding` and
@@ -155,7 +168,8 @@ class _SpanBuilder:
     dim, always. The ``+1`` matters for the bits: numpy sends a slice
     ``q[:, :r]`` that fills its whole array down another BLAS path, whose
     results can differ in the last bits from the ``(dim, dim)`` layout's.
-    A read-only buffer refuses to grow, as it refuses a write.
+    A sealed buffer refuses to grow or to roll back, as it refuses a
+    write.
     """
 
     __slots__ = ("dim", "_q", "_r")
@@ -181,7 +195,22 @@ class _SpanBuilder:
         return builder
 
     def copy(self) -> "_SpanBuilder":
-        return self.holding(self._q[:, : self._r])
+        return self.holding(self.span())
+
+    def span(self, start: int = 0) -> np.ndarray:
+        """View of accepted columns `start` to ``rank - 1``."""
+        return self._q[:, start : self._r]
+
+    def truncate(self, rank: int) -> None:
+        """Roll the span back to its first `rank` columns; a later `add`
+        writes over the rest. Raises ValueError on a sealed span."""
+        if not self._q.flags.writeable:
+            raise ValueError("cannot roll back a read-only span")
+        self._r = rank
+
+    def seal(self) -> None:
+        """Make the span read-only: a later `add` or `truncate` raises."""
+        self._q.setflags(write=False)
 
     def column(self, k: int) -> np.ndarray:
         """View of accepted column k. A column moves when the buffer
@@ -194,7 +223,7 @@ class _SpanBuilder:
 
         Returns the newly accepted unit direction, or None when the
         column is absorbed into the existing span: when its residual norm
-        is at most `tol`, by default ``RANK_TOL * (1 + ||col||)``.
+        is at most `tol`, by default ``_absorb_tol(||col||)``.
         """
         norm0 = _norm(col)
         if norm0 == 0.0:
@@ -210,7 +239,7 @@ class _SpanBuilder:
         else:
             # Projecting onto the zero subspace subtracts exact zeros.
             w, norm_w = col, norm0
-        if norm_w <= (RANK_TOL * (1.0 + norm0) if tol is None else tol):
+        if norm_w <= (_absorb_tol(norm0) if tol is None else tol):
             return None
         buf = self._q
         if r + 1 == buf.shape[1] < self.dim:
@@ -225,13 +254,10 @@ class _SpanBuilder:
 
     def project_norm_sq(self, v: np.ndarray) -> float:
         """Squared norm of the orthogonal projection of `v` onto the span."""
-        if self._r == 0:
-            return 0.0
-        coeffs = self._q[:, : self._r].T @ v
-        return float(coeffs @ coeffs)
+        return _proj_sq(self.span(), v) if self._r else 0.0
 
     def freeze(self) -> "OrthoBasis":
-        return OrthoBasis._trusted(self.dim, self._q[:, : self._r].copy())
+        return OrthoBasis._trusted(self.dim, self.span().copy())
 
 
 class OrthoBasis:
@@ -250,7 +276,7 @@ class OrthoBasis:
     __slots__ = ("_dim", "_cols")
 
     def __init__(self, ambient_dim: int, columns=None):
-        dim = int(ambient_dim)
+        dim = as_int(ambient_dim, "ambient_dim")
         if dim < 0:
             raise InputError("ambient_dim: must be non-negative")
         if columns is None:
@@ -331,14 +357,4 @@ class OrthoBasis:
         v = as_vector(v, "v")
         if v.shape[0] != self._dim:
             raise DimensionError(f"v: expected length {self._dim}, got {v.shape[0]}")
-        coeffs = self._cols.T @ v
-        raw = float(coeffs @ coeffs)
-        return min(max(raw, 0.0), float(v @ v))
-
-    def contains(self, v, tol_sq: float) -> bool:
-        """True when ``||v||^2 - ||proj(v)||^2 <= tol_sq``."""
-        v = as_vector(v, "v")
-        if v.shape[0] != self._dim:
-            raise DimensionError(f"v: expected length {self._dim}, got {v.shape[0]}")
-        nv2 = float(v @ v)
-        return nv2 - self.project_norm_sq(v) <= tol_sq
+        return min(max(_proj_sq(self._cols, v), 0.0), float(v @ v))

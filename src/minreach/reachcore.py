@@ -264,22 +264,19 @@ class ActuatorSet:
     def cardinality(self) -> int:
         return len(self.indices)
 
-    def to_delta(self) -> np.ndarray:
-        """Zero-one indicator vector of length n."""
-        delta = np.zeros(self.n)
-        for i in self.indices:
-            delta[i - 1] = 1.0
-        return delta
-
     def to_b(self) -> np.ndarray:
-        """The diagonal input matrix diag(delta)."""
-        return np.diag(self.to_delta())
+        """The input matrix B = diag(delta), delta the zero-one indicator
+        vector of the set."""
+        delta = np.zeros(self.n)
+        delta[[i - 1 for i in self.indices]] = 1.0
+        return np.diag(delta)
 
     def with_index(self, i: int) -> "ActuatorSet":
         """A new set with index `i` added."""
+        i = as_int(i, "i")
         if i in self.indices:
             return self
-        return ActuatorSet(self.n, self.indices + (int(i),))
+        return ActuatorSet(self.n, self.indices + (i,))
 
     def __contains__(self, i) -> bool:
         return i in self.indices
@@ -419,7 +416,7 @@ class _ReachAccumulator:
             fold.include(i0)
             for builder in (fold.state, fold.out):
                 if builder is not None:
-                    builder._q.setflags(write=False)
+                    builder.seal()
             table[i0] = (fold.state, fold.out)
         other = _ReachAccumulator.__new__(_ReachAccumulator)
         other.sys = self.sys
@@ -451,19 +448,12 @@ class _ReachAccumulator:
     def output_builder(self) -> _SpanBuilder:
         return self.state if self.out is None else self.out
 
-    @property
-    def state_rank(self) -> int:
-        return self.state.rank
-
     def project_norm_sq(self, v: np.ndarray) -> float:
         nv2 = float(v @ v)
         return min(max(self.output_builder.project_norm_sq(v), 0.0), nv2)
 
     def residual_sq(self, v: np.ndarray) -> float:
         return float(v @ v) - self.project_norm_sq(v)
-
-    def to_basis(self) -> OrthoBasis:
-        return self.output_builder.freeze()
 
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
@@ -490,7 +480,7 @@ def reachable_subspace(sys: LtiSystem, delta: ActuatorSet) -> OrthoBasis:
     and each index's closure directions in their generation order.
     """
     _check_actuators(sys, delta)
-    return _accumulate(sys, delta).to_basis()
+    return _accumulate(sys, delta).output_builder.freeze()
 
 
 def residual(sys: LtiSystem, delta: ActuatorSet, v) -> float:
@@ -535,7 +525,7 @@ def is_controllable(sys: LtiSystem, delta: ActuatorSet) -> bool:
         raise UnsupportedOperationError(
             "controllability is defined for the unweighted variant only"
         )
-    return _accumulate(sys, delta).state_rank == sys.n
+    return _accumulate(sys, delta).state.rank == sys.n
 
 
 def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
@@ -633,7 +623,7 @@ def _subset_residuals(
                     continue
             child = acc.extended(i0)
             if (
-                child.state_rank == acc.state_rank
+                child.state.rank == acc.state.rank
                 and least <= size
                 and size + n - i0 <= k
             ):

@@ -79,12 +79,15 @@ class HittingSetInstance:
         """Number of sets."""
         return len(self.sets)
 
-    def incidence(self) -> "IncidenceMatrix":
+    def incidence(self) -> np.ndarray:
+        """Read-only zero-one ``(p, m)`` membership matrix: entry (i, j) is
+        1 exactly when set i contains element j."""
         phi = np.zeros((self.p, self.m))
         for i, members in enumerate(self.sets):
             for j in members:
                 phi[i, j - 1] = 1.0
-        return IncidenceMatrix(phi)
+        phi.setflags(write=False)
+        return phi
 
     @classmethod
     def from_dict(cls, data: dict) -> "HittingSetInstance":
@@ -104,33 +107,6 @@ class HittingSetInstance:
         return {"m": self.m, "sets": [list(s) for s in self.sets]}
 
 
-@dataclass(frozen=True, eq=False)
-class IncidenceMatrix:
-    """Zero-one set-membership matrix: entry (i, j) is 1 exactly when
-    set i contains element j. Every row has at least one 1."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
-        if phi.ndim != 2 or phi.shape[0] < 1 or phi.shape[1] < 1:
-            raise DimensionError("phi: expected a non-empty 2-D array")
-        if not np.all((phi == 0.0) | (phi == 1.0)):
-            raise InputError("phi: entries must be 0 or 1")
-        if not np.all(phi.sum(axis=1) >= 1.0):
-            raise InputError("phi: every row needs at least one 1")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def p(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.phi.shape[1]
-
-
 @dataclass(frozen=True)
 class ConeTarget:
     """The open cone {x : x_1..m = 0, x_(m+1)..(m+p) > 0} in R^(m+p)."""
@@ -139,10 +115,11 @@ class ConeTarget:
     p: int
 
     def __post_init__(self):
-        if int(self.m) < 1 or int(self.p) < 1:
+        m, p = as_int(self.m, "m"), as_int(self.p, "p")
+        if m < 1 or p < 1:
             raise InputError("m and p must be at least 1")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -199,7 +176,7 @@ def build_lemma1(instance: HittingSetInstance) -> tuple[LtiSystem, np.ndarray]:
     transfer from the origin coincides with controllability of the chosen
     actuator set for this construction.
     """
-    phi = instance.incidence().phi
+    phi = instance.incidence()
     n = instance.m + instance.p + 1
     v1 = _v1_matrix(phi)
     a = np.linalg.solve(v1, np.diag(np.arange(1.0, n + 1.0)) @ v1)
@@ -215,7 +192,7 @@ def build_lemma2(instance: HittingSetInstance) -> tuple[LtiSystem, np.ndarray]:
     zeroes the target there, so the extra state is never needed for the
     transfer yet is required for controllability.
     """
-    phi = instance.incidence().phi
+    phi = instance.incidence()
     n = instance.m + instance.p + 2
     v2 = np.zeros((n, n))
     v2[: n - 1, : n - 1] = _v1_matrix(phi)
@@ -236,7 +213,7 @@ def build_lemma3(instance: HittingSetInstance) -> tuple[LtiSystem, ConeTarget]:
     (its square vanishes), and the target is the cone of states that are
     zero on the first m coordinates and positive on the last p.
     """
-    phi = instance.incidence().phi
+    phi = instance.incidence()
     m, p = instance.m, instance.p
     n = m + p
     a = np.zeros((n, n))
@@ -289,7 +266,8 @@ def verify_reduction(
     search at exact tolerance (expected h+1, with the found optimum
     controllable for lemma1 and uncontrollable for lemma2), for the cone
     variant by the structural cover criterion (expected h). The report
-    carries both numbers and the combined pass flag.
+    carries both numbers and the combined pass flag. A `k_max` that is not
+    a non-negative integer raises InputError in every variant.
     """
     if variant not in ("lemma1", "lemma2", "lemma3"):
         raise InputError(f"variant: expected lemma1, lemma2 or lemma3, got {variant!r}")
@@ -298,13 +276,15 @@ def verify_reduction(
             f"instance needs n up to {instance.m + instance.p + 2}, "
             f"beyond the exhaustive cap {N_BRUTE}"
         )
+    if k_max is not None:
+        k_max = as_int(k_max, "k_max")
+        if k_max < 0:
+            raise InputError(f"k_max: must be non-negative, got {k_max}")
     h = len(min_hitting_set(instance))
 
     if variant == "lemma3":
         n = instance.m + instance.p
-        found = _min_cone_cardinality(
-            instance, n if k_max is None else as_int(k_max, "k_max")
-        )
+        found = _min_cone_cardinality(instance, n if k_max is None else k_max)
         return ReductionReport(
             variant=variant,
             hitting_set_size=h,

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalInfeasibilityError
-from .numkit import RANK_TOL, _SpanBuilder, as_int, as_positive, as_vector
+from .numkit import _SpanBuilder, _absorb_tol, _proj_sq, as_int, as_positive, as_vector
 from .reachcore import (
     EXACT_TOL,
     N_BRUTE,
@@ -56,7 +56,7 @@ class GreedyTrace:
     epsilon: float
 
     def __post_init__(self):
-        chosen = tuple(int(i) for i in self.chosen)
+        chosen = tuple(as_int(i, "chosen") for i in self.chosen)
         residuals = tuple(float(r) for r in self.residuals)
         if len(residuals) != len(chosen) + 1:
             raise InputError("residuals must have one entry per pick plus the start")
@@ -185,7 +185,7 @@ class _GreedyPath:
         # basis array of the accumulator it came from alive.
         d = d.copy()
         acc = self.acc
-        q = acc.output_builder._q[:, : acc.output_builder.rank]
+        q = acc.output_builder.span()
         # Renormalising a column that lost most of its norm magnifies its
         # rounding in reached directions, which the residual of v is not in.
         self.r = r = self.v - q @ (q.T @ self.v)
@@ -208,33 +208,35 @@ class _GreedyPath:
         """Take the directions D that `builder` holds out of candidate i0's
         residual closure when D overlaps it, by _SpanBuilder.add, and score
         it against `r` on an unweighted path. A column is absorbed when a
-        fold would absorb its unit closure column, at 2 * RANK_TOL."""
+        fold would absorb its unit closure column, at ``_absorb_tol(1.0)``
+        in that column's scale."""
         z, s = self.bases[i0]
         if not (d.T @ z).any():
             return
         t = d.shape[1]
-        builder._r = t
+        builder.truncate(t)
+        tol = _absorb_tol(1.0)
         kept = []
         for j in range(z.shape[1]):
-            u = builder.add(z[:, j], tol=2.0 * RANK_TOL / s[j])
+            u = builder.add(z[:, j], tol=tol / s[j])
             if u is not None:
                 kept.append(s[j] * float(u @ z[:, j]))
         if not kept:
             self.drop(i0)
             return
-        z = builder._q[:, t : builder.rank].copy()
+        z = builder.span(t).copy()
         self.bases[i0] = (z, np.array(kept))
         if self.acc.out is None:
-            self.scores[i0] = _score(z, r)
+            self.scores[i0] = _proj_sq(z, r)
 
     def _fold_score(self, z: np.ndarray) -> float:
         """Gain for the residual of folding the W-image of `z` into the
         output span reached so far."""
         out, o = self.out, self.acc.out.rank
-        out._r = o
+        out.truncate(o)
         for col in (self.acc.sys.w @ z).T:
             out.add(col)
-        return _score(out._q[:, o : out.rank], self.r)
+        return _proj_sq(out.span(o), self.r)
 
     def _build(self, i0: int) -> None:
         """Make pending candidate i0's residual closure and score from its
@@ -243,7 +245,7 @@ class _GreedyPath:
         sys = self.acc.sys
         closure = sys._closure(i0)
         self.pending[i0] = False
-        self.bases[i0] = (closure._q[:, : closure.rank], np.ones(closure.rank))
+        self.bases[i0] = (closure.span(), np.ones(closure.rank))
         self.scores[i0] = sys._output_closure(i0).project_norm_sq(self.v)
         support = sys._reach[i0].copy()
         for d, hit, r in self.blocks:
@@ -286,12 +288,6 @@ class _GreedyPath:
             self._build(int(waiting.argmax()))
 
 
-def _score(z: np.ndarray, v: np.ndarray) -> float:
-    """Squared norm of `v` projected on the orthonormal columns `z`."""
-    c = z.T @ v
-    return float(c @ c)
-
-
 def _greedy_core(path: _GreedyPath, eps: float) -> None:
     """Extend `path` until its residual is at most `eps` or it is stuck.
 
@@ -319,7 +315,7 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
             path.drop(pick)
             if new_res < res:
                 break
-        path.fresh = trial.state._q[:, path.acc.state.rank : trial.state.rank]
+        path.fresh = trial.state.span(path.acc.state.rank)
         path.acc = trial
         path.chosen.append(pick)
         res = new_res

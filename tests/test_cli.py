@@ -488,6 +488,15 @@ class TestReduceAndVerify:
         assert code == 5
         assert parse_report(out)["passed"] is False
 
+    @pytest.mark.parametrize("variant", ["lemma1", "lemma2", "lemma3"])
+    def test_verify_refuses_a_negative_cap(self, tmp_path, variant):
+        instance = self.instance_path(tmp_path)
+        code, out, err = run_cli(
+            ["verify", instance, "--variant", variant, "--kmax", "-1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: k_max: must be non-negative, got -1\n"
+
     def test_invalid_instance_exit(self, tmp_path):
         bad = self.instance_path(tmp_path, {"m": 2, "sets": [[1], []]})
         assert run_cli(["verify", bad, "--variant", "lemma1"])[0] == 2

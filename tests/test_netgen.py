@@ -110,3 +110,26 @@ class TestRandomTarget:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             random_target(0, 1)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (star, (2.5,)),
+        (star, (True,)),
+        (erdos_renyi, (10.7, 3)),
+        (erdos_renyi, (10, 3.9)),
+        (erdos_renyi, (10, "3")),
+        (random_target, (4.5, 1)),
+        (random_target, (4, False)),
+    ],
+)
+def test_rejects_a_size_or_seed_that_is_not_an_integer(make, args):
+    with pytest.raises(InputError):
+        make(*args)
+
+
+def test_accepts_integral_sizes_and_seeds():
+    assert np.array_equal(star(2.0).a, star(2).a)
+    assert np.array_equal(erdos_renyi(10.0, np.int64(3)).a, erdos_renyi(10, 3).a)
+    assert np.array_equal(random_target(4.0, 1.0), random_target(4, 1))

@@ -1,6 +1,9 @@
 """Numerical kernel tests: matrix exponential, basis extension, and
 projections, each against directly computed expected values."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,59 @@ class TestSpanBuilderBuffer:
             assert np.array_equal(b._q[:, :rank], q[:, :rank])
 
 
+class TestSpanBuilderViews:
+    def test_span_views_the_accepted_columns(self):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((10, 6)))
+        builder = _SpanBuilder.holding(q)
+        assert np.array_equal(builder.span(), q)
+        assert np.array_equal(builder.span(4), q[:, 4:])
+        assert builder.span(6).shape == (10, 0)
+        assert np.shares_memory(builder.span(), builder.column(0))
+
+    def test_truncate_rolls_back_and_add_writes_over(self):
+        rng = np.random.default_rng(4)
+        builder = _SpanBuilder(10)
+        for _ in range(3):
+            builder.add(rng.standard_normal(10))
+        first = builder.span(0).copy()
+        col = rng.standard_normal(10)
+        builder.add(col)
+        builder.truncate(2)
+        assert builder.rank == 2
+        assert np.array_equal(builder.span(), first[:, :2])
+        again = _SpanBuilder.holding(first[:, :2])
+        assert np.array_equal(builder.add(col), again.add(col))
+
+    def test_seal_refuses_add_and_truncate(self):
+        builder = _SpanBuilder(4)
+        builder.add(np.array([1.0, 2.0, 0.0, 0.0]))
+        builder.seal()
+        data = builder.span().tobytes()
+        with pytest.raises(ValueError):
+            builder.add(np.array([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            builder.truncate(0)
+        assert (builder.rank, builder.span().tobytes()) == (1, data)
+        assert builder.add(np.array([2.0, 4.0, 0.0, 0.0])) is None
+
+
+def test_only_numkit_knows_span_storage_and_the_rank_tolerance():
+    """The span layout (``_q``, ``_r``) is read or written only in numkit,
+    and the selector takes its absorption rule from numkit, not RANK_TOL."""
+    package = Path(__file__).resolve().parents[1] / "src" / "minreach"
+    fields = {ast.Name: "id", ast.alias: "name", ast.Attribute: "attr"}
+    layout, rank_tol = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_q", "_r"):
+                layout.add(path.name)
+            field = fields.get(type(node))
+            if field and getattr(node, field) == "RANK_TOL":
+                rank_tol.add(path.name)
+    assert layout == {"numkit.py"}
+    assert "numkit.py" in rank_tol and "selector.py" not in rank_tol
+
+
 class TestProjectNormSq:
     def test_empty_basis_gives_zero(self):
         assert OrthoBasis.empty(2).project_norm_sq([3.0, 4.0]) == 0.0
@@ -217,6 +273,11 @@ class TestOrthoBasisType:
         with pytest.raises(DimensionError):
             OrthoBasis(3, np.column_stack([E1]))
 
+    @pytest.mark.parametrize("dim", [2.5, True, "2"])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dim):
+        with pytest.raises(InputError):
+            OrthoBasis(dim)
+
     def test_rejects_too_many_columns(self):
         with pytest.raises(DimensionError):
             OrthoBasis(1, [[1.0, 0.0]])
@@ -233,9 +294,3 @@ class TestOrthoBasisType:
         basis = OrthoBasis(2, np.column_stack([E1]))
         with pytest.raises(ValueError):
             basis.columns[0, 0] = 5.0
-
-    def test_contains(self):
-        basis = OrthoBasis(2, np.column_stack([E1]))
-        assert basis.contains([2.0, 0.0], tol_sq=1e-12)
-        assert not basis.contains([0.0, 1.0], tol_sq=1e-12)
-

@@ -11,7 +11,6 @@ from minreach import (
     ConeTarget,
     DimensionError,
     HittingSetInstance,
-    IncidenceMatrix,
     InputError,
     build_lemma1,
     build_lemma2,
@@ -41,7 +40,7 @@ def random_instance(rng, m_max=4, p_max=3):
 
 
 def expected_v1(instance):
-    phi = instance.incidence().phi
+    phi = instance.incidence()
     p, m = phi.shape
     n = m + p + 1
     v1 = np.zeros((n, n))
@@ -113,21 +112,21 @@ class TestHittingSetInstance:
 class TestIncidenceMatrix:
     def test_membership_pattern(self):
         instance = HittingSetInstance(m=3, sets=((1, 2), (2, 3)))
-        phi = instance.incidence().phi
+        phi = instance.incidence()
         assert phi.tolist() == [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
 
-    def test_rejects_non_binary(self):
-        with pytest.raises(InputError):
-            IncidenceMatrix([[0.5]])
-
-    def test_rejects_empty_row(self):
-        with pytest.raises(InputError):
-            IncidenceMatrix([[1.0, 0.0], [0.0, 0.0]])
-
-    def test_shape_properties(self):
-        inc = IncidenceMatrix([[1.0, 0.0], [1.0, 1.0]])
-        assert inc.p == 2
-        assert inc.m == 2
+    def test_is_a_read_only_zero_one_array(self):
+        rng = np.random.default_rng(193)
+        for _ in range(10):
+            instance = random_instance(rng)
+            phi = instance.incidence()
+            assert type(phi) is np.ndarray and phi.dtype == np.float64
+            assert phi.shape == (instance.p, instance.m)
+            assert set(np.unique(phi)) <= {0.0, 1.0}
+            rows = [tuple(np.flatnonzero(row) + 1) for row in phi]
+            assert rows == list(instance.sets)
+            with pytest.raises(ValueError):
+                phi[0, 0] = 1.0
 
 
 class TestConeTarget:
@@ -136,6 +135,16 @@ class TestConeTarget:
             ConeTarget(m=0, p=1)
         with pytest.raises(InputError):
             ConeTarget(m=1, p=0)
+
+    @pytest.mark.parametrize("m, p", [(1.5, 2), (2, 2.7), (True, 1), (1, "2")])
+    def test_rejects_a_block_size_that_is_not_an_integer(self, m, p):
+        with pytest.raises(InputError):
+            ConeTarget(m, p)
+
+    def test_accepts_integral_floats(self):
+        cone = ConeTarget(2.0, np.int64(3))
+        assert (cone.m, cone.p) == (2, 3)
+        assert type(cone.m) is int and type(cone.p) is int
 
 
 class TestBuildLemma1:
@@ -275,6 +284,17 @@ class TestVerifyReduction:
     def test_rejects_unknown_variant(self):
         with pytest.raises(InputError):
             verify_reduction(SINGLETON, "lemma4")
+
+    @pytest.mark.parametrize("variant", ["lemma1", "lemma2", "lemma3"])
+    @pytest.mark.parametrize("k_max", [-1, 1.5, True])
+    def test_rejects_a_bad_cap_in_every_variant(self, variant, k_max):
+        with pytest.raises(InputError, match="k_max"):
+            verify_reduction(SINGLETON, variant, k_max)
+
+    @pytest.mark.parametrize("variant", ["lemma1", "lemma2", "lemma3"])
+    def test_a_cap_below_the_optimum_finds_nothing(self, variant):
+        report = verify_reduction(SINGLETON, variant, 0)
+        assert (report.reach_min_size, report.passed) == (None, False)
 
     def test_capacity_cap(self):
         big = HittingSetInstance(

@@ -95,6 +95,18 @@ class TestGreedyTrace:
         with pytest.raises(InputError):
             GreedyTrace(chosen=(1,), residuals=(2.0, 1.0), epsilon=0.5)
 
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_rejects_a_pick_that_is_not_an_integer(self, index):
+        with pytest.raises(InputError):
+            GreedyTrace(chosen=(index,), residuals=(2.0, 1.0), epsilon=1.0)
+
+    def test_accepts_integral_picks(self):
+        trace = GreedyTrace(
+            chosen=(2.0, np.int64(1)), residuals=(2.0, 1.0, 0.0), epsilon=0.5
+        )
+        assert trace.chosen == (2, 1)
+        assert all(type(i) is int for i in trace.chosen)
+
 
 class TestBall:
     def test_rejects_non_positive_radius(self):
@@ -576,6 +588,22 @@ class TestSharedFirstFolds:
                 acc.include(7)
             assert (acc.state.rank, acc.state._q) == (7, q)
             assert not acc.state._q.flags.writeable
+
+    def test_truncating_a_shared_fold_raises_and_keeps_it(self):
+        rng = np.random.default_rng(211)
+        a = np.zeros((12, 12))
+        a[:7, :7] = rng.standard_normal((7, 7))
+        a[7:, 7:] = rng.standard_normal((5, 5))
+        for w in [None, rng.standard_normal((9, 12))]:
+            acc = _ReachAccumulator(LtiSystem(a, w)).extended(0)
+            for fold in (acc.state, acc.out):
+                if fold is None:
+                    continue
+                rank, data = fold.rank, fold.span().tobytes()
+                for target in (0, rank - 1):
+                    with pytest.raises(ValueError):
+                        fold.truncate(target)
+                assert (fold.rank, fold.span().tobytes()) == (rank, data)
 
 
 class TestSpanCapacity:
