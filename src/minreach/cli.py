@@ -48,8 +48,25 @@ def _emit(payload: dict) -> None:
 
 
 def _load_json(path: str):
+    """The JSON value in `path`, refused when it holds a JSON boolean
+    anywhere: every input file holds numbers, and numpy would read true
+    as 1.0."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    data = json.loads(text)
+    # Every boolean is spelled with a t or an f, which no number has, so a
+    # file of numbers without either needs no walk.
+    if "t" in text or "f" in text:
+        stack = [data]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, bool):
+                raise InputError(f"{path}: expected numbers, got a JSON boolean")
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, list):
+                stack.extend(item)
+    return data
 
 
 def _write_json(path: str, payload) -> None:

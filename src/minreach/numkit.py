@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InputError
 
@@ -142,6 +141,10 @@ def mat_exp(a, t: float) -> np.ndarray:
         ``exp(a * t)``, computed by scaling-and-squaring with Pade
         approximation.
     """
+    # Imported here: scipy.linalg takes most of the package's import time,
+    # and only a transfer from a non-zero x0 needs it.
+    import scipy.linalg
+
     a = as_square(a, "a")
     t = float(t)
     if not np.isfinite(t):

@@ -105,33 +105,24 @@ class LtiSystem:
     @cached_property
     def _first_folds(self) -> dict[int, tuple[_SpanBuilder, _SpanBuilder | None]]:
         """The folds of one index into the empty set made so far, by 0-based
-        index: the ``(state, out)`` builders that
-        ``_ReachAccumulator(self).include(i0)`` leaves. Such a fold is the
-        same whatever the target, so _ReachAccumulator.extended makes it
-        once and every greedy, subset walk and set call on this system
-        shares it. Builders, not an accumulator, which refers back to the
-        system and would make a reference cycle. Their bases are read-only,
-        so a write into a shared fold raises."""
+        index (see _first_fold). Builders, not an accumulator, which refers
+        back to the system and would make a reference cycle."""
         return {}
 
-    @cached_property
-    def _output_closures(self) -> dict[int, _SpanBuilder]:
-        """The spans W C_i built so far of the closures C_i, by 0-based
-        index, in the output space: the closure table itself without an
-        output weight. Filled by _output_closure; treat as read-only."""
-        return self._closures if self.w is None else {}
-
-    def _output_closure(self, i0: int) -> _SpanBuilder:
-        """The span W C_i of the closure of 0-based index `i0`, built on
-        first use from the closure's columns in order."""
-        table = self._output_closures
+    def _first_fold(self, i0: int) -> tuple[_SpanBuilder, _SpanBuilder | None]:
+        """The ``(state, out)`` builders that
+        ``_ReachAccumulator(self).include(i0)`` leaves, made on first use.
+        Such a fold is the same whatever the target, so every greedy,
+        subset walk and set call on this system shares it. Its bases are
+        read-only, so a write into a shared fold raises."""
+        table = self._first_folds
         if i0 not in table:
-            closure = self._closure(i0)
-            if self.w is not None:
-                image = _SpanBuilder(self.output_dim)
-                for k in range(closure.rank):
-                    image.add(self.w @ closure.column(k))
-                table[i0] = image
+            fold = _ReachAccumulator(self)
+            fold.include(i0)
+            for builder in (fold.state, fold.out):
+                if builder is not None:
+                    builder.seal()
+            table[i0] = (fold.state, fold.out)
         return table[i0]
 
     @cached_property
@@ -405,22 +396,14 @@ class _ReachAccumulator:
     def extended(self, i0: int) -> "_ReachAccumulator":
         """A new accumulator equal to this one with the closure of 0-based
         index `i0` folded in. From the empty set it wraps the system's
-        shared fold (see LtiSystem._first_folds), made on first use."""
+        shared fold (see LtiSystem._first_fold)."""
         if self.state.rank:
             other = self.copy()
             other.include(i0)
             return other
-        table = self.sys._first_folds
-        if i0 not in table:
-            fold = _ReachAccumulator(self.sys)
-            fold.include(i0)
-            for builder in (fold.state, fold.out):
-                if builder is not None:
-                    builder.seal()
-            table[i0] = (fold.state, fold.out)
         other = _ReachAccumulator.__new__(_ReachAccumulator)
         other.sys = self.sys
-        other.state, other.out = table[i0]
+        other.state, other.out = self.sys._first_fold(i0)
         return other
 
     def include(self, i0: int) -> list[np.ndarray]:

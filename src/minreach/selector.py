@@ -101,8 +101,11 @@ class _GreedyPath:
     orthonormal basis z of the part of i's closure outside the state span
     reached so far, and the norm s[j] that closure column j keeps outside
     it. ``scores[i]`` is the gain for `v` of folding i in. Bases start as
-    views of the system's closures, first scores come from its output
-    closures, and the last pick's new state directions wait in ``fresh``.
+    views of the system's closures. Before the first pick, an unweighted
+    score is the gain of i's closure, and a weighted one that of the
+    system's shared fold of i into the empty set (LtiSystem._first_fold),
+    the fold a trial of i takes. The last pick's new state directions wait
+    in ``fresh``.
 
     Until it is built, candidate i is ``pending`` and ``bounds[i]`` bounds
     its score: ``||r on U_i||^2 * (1 + _BOUND_SLACK_REL * n)``, with r the
@@ -240,13 +243,16 @@ class _GreedyPath:
 
     def _build(self, i0: int) -> None:
         """Make pending candidate i0's residual closure and score from its
-        closure and its output closure, replaying every earlier pick's
-        directions in order."""
+        closure, or a weighted one's first score from its shared first
+        fold, replaying every earlier pick's directions in order."""
         sys = self.acc.sys
         closure = sys._closure(i0)
         self.pending[i0] = False
         self.bases[i0] = (closure.span(), np.ones(closure.rank))
-        self.scores[i0] = sys._output_closure(i0).project_norm_sq(self.v)
+        if self.acc.out is None:
+            self.scores[i0] = closure.project_norm_sq(self.v)
+        elif not self.blocks:
+            self.scores[i0] = sys._first_fold(i0)[1].project_norm_sq(self.v)
         support = sys._reach[i0].copy()
         for d, hit, r in self.blocks:
             if (support & hit).any():
@@ -434,8 +440,11 @@ def subset_reach(
     with the 1-based index of its ball; ties go to the smallest index.
     Every ball's run shares the system's closures, so an index's closure
     is built at most once across all balls, and only when some run needs
-    it. The runs also share each first pick's fold into the empty set
-    (see LtiSystem._first_folds), as does a later set call on the system.
+    it. The runs also share each index's fold into the empty set (see
+    LtiSystem._first_fold), as does a later set call on the system. That
+    fold judges a first pick, and on a weighted system it also gives the
+    candidate's score before the first pick; an unweighted score then
+    comes from the closure itself.
     """
     balls = list(balls)
     if not balls:

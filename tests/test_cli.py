@@ -638,6 +638,43 @@ def test_boolean_in_an_integer_field_exits_2(tmp_path, case):
     assert err.startswith("error: ")
 
 
+#: Input files with a JSON boolean where a number belongs, and a command
+#: that reads each; numpy and float() would take true as 1.0.
+BOOLEAN_NUMBER = {
+    "system-a": (
+        {"n": 2, "a": [[True, 0], [1, -1]]},
+        ["reach", "{path}", "--x1", "1,1", "--eps", "1"],
+    ),
+    "system-w": (
+        {"n": 2, "a": [[1.0, 0.0], [0.0, 2.0]], "w": [[1.0, False]]},
+        ["reach", "{path}", "--x1", "1,1", "--eps", "1"],
+    ),
+    "x1-file": ([True, 1], ["reach", "{diag}", "--x1", "@{path}", "--eps", "1"]),
+    "x0-file": (
+        [0.0, False],
+        ["oracle", "{diag}", "--x0", "@{path}", "--x1", "1,1", "--eps", "1"],
+    ),
+    "ball-center": (
+        [{"center": [True, False], "radius_sq": 0.5}],
+        ["subset-reach", "{diag}", "{path}"],
+    ),
+    "ball-radius": (
+        [{"center": [1.0, 1.0], "radius_sq": True}],
+        ["subset-reach", "{diag}", "{path}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOLEAN_NUMBER))
+def test_boolean_in_a_numeric_field_exits_2(tmp_path, case):
+    payload, argv = BOOLEAN_NUMBER[case]
+    path = write_json(tmp_path / "input.json", payload)
+    diag = diag_system(tmp_path)
+    code, out, err = run_cli([arg.format(path=path, diag=diag) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: expected numbers, got a JSON boolean\n"
+
+
 class TestParserReuse:
     def test_calls_in_one_process_match_first_calls(self, tmp_path):
         # The parser is built once per process; a parse error must leave it

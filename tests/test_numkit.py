@@ -2,11 +2,15 @@
 projections, each against directly computed expected values."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minreach
 from minreach import (
     DimensionError,
     InputError,
@@ -60,6 +64,16 @@ class TestMatExp:
             mat_exp([[np.nan, 0.0], [0.0, 1.0]], 1.0)
         with pytest.raises(InputError):
             mat_exp(np.eye(2), np.inf)
+
+    def test_importing_the_cli_leaves_scipy_linalg_unimported(self):
+        # scipy.linalg takes most of the package's import time, and only
+        # mat_exp uses it. A fresh process, so no other test has imported it.
+        env = dict(os.environ, PYTHONPATH=str(Path(minreach.__file__).parents[1]))
+        check = "import sys, minreach.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", check], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestBasisExtend:

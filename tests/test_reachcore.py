@@ -491,6 +491,19 @@ class TestBatchedClosuresAndExtensions:
                 built = reachcore._index_closure(sys_.a, i0)
                 assert same_span(built, scalar_closure(sys_.a, i0))
 
+    def repeated_row_cases(self):
+        """Weighted systems whose W repeats its first row, each with a
+        target and the first pick that trial folds make. At seed 50 every
+        fold gain lies inside the tie band; at seed 191 index 0's lies 2.5
+        bands below the top. The W-image W C_i of each closure spans what
+        i's fold spans but rounds differently, and scored by it the greedy
+        picked indices 9 and 0."""
+        for seed, first in [(50, 0), (191, 1)]:
+            rng = np.random.default_rng(seed)
+            w = rng.standard_normal((11, 15))
+            w[10] = w[0]
+            yield LtiSystem(erdos_renyi(15, seed).a, w), rng.standard_normal(11), first
+
     def test_picks_match_fold_gains_with_the_tie_band(self):
         rng = np.random.default_rng(77)
         steps = 0
@@ -501,6 +514,24 @@ class TestBatchedClosuresAndExtensions:
             assert got == fold_greedy(sys_, v, eps)
             steps += len(got[0])
         assert steps > 2 * len(list(self.systems()))
+        for sys_, v, first in self.repeated_row_cases():
+            eps = 0.5 * float(v @ v)
+            got = residual_closure_greedy(sys_, v, eps)
+            assert got[0] == [first]
+            assert got == fold_greedy(sys_, v, eps)
+
+    def test_weighted_first_scores_are_the_first_fold_gains(self):
+        # The gain the trial of i would take, to the bit.
+        rng = np.random.default_rng(78)
+        weighted = [sys_ for sys_ in self.systems() if sys_.w is not None]
+        cases = [(sys_, rng.standard_normal(sys_.output_dim)) for sys_ in weighted]
+        cases += [(sys_, v) for sys_, v, _ in self.repeated_row_cases()]
+        for sys_, v in cases:
+            path = _GreedyPath(sys_, v)
+            for i0 in range(sys_.n):
+                path._build(i0)
+                fold = reachcore._ReachAccumulator(sys_).extended(i0)
+                assert path.scores[i0] == fold.out.project_norm_sq(v)
 
     def test_residual_traces_match_the_fold_greedy_bit_for_bit(self):
         rng = np.random.default_rng(503)

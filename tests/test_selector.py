@@ -465,8 +465,8 @@ class TestSharedClosureCache:
         assert built == [1, 4]
 
     def test_weighted_subset_reach_builds_one_closure(self, monkeypatch):
-        # Every W C_i spans the output space, so the first candidate built
-        # certifies the pick for every ball.
+        # Every index's first fold spans the output space, so the first
+        # candidate built certifies the pick for every ball.
         built = counted_builds(monkeypatch)
         n = 40
         rng = np.random.default_rng(197)
@@ -474,7 +474,7 @@ class TestSharedClosureCache:
         balls = [Ball(sys_.w @ random_target(n, 20 + k), 0.05) for k in range(8)]
         subset_reach(sys_, balls)
         assert built == [0]
-        assert list(sys_._output_closures) == [0]
+        assert list(sys_._first_folds) == [0]
 
     def test_brute_force_opt_builds_only_the_closures_it_folds(self, monkeypatch):
         # The size-1 walk stops at {1}, which reaches e_1, before it folds
@@ -510,7 +510,7 @@ class TestSharedClosureCache:
             while solves:
                 sys_, solve = solves.pop()
                 solve(sys_)
-                tables = {"_closures", "_output_closures", "_first_folds"}
+                tables = {"_closures", "_first_folds"}
                 assert tables <= vars(sys_).keys()
                 ref = weakref.ref(sys_)
                 del sys_
