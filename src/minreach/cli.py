@@ -103,7 +103,10 @@ def _system_payload(sys_: LtiSystem, seed: int | None = None) -> dict:
 def _parse_vector(text: str, expected: int, name: str) -> np.ndarray:
     if text.startswith("@"):
         data = _load_json(text[1:])
-        if not isinstance(data, list):
+        # A JSON string is refused, not parsed: float("1") is 1.0.
+        if not isinstance(data, list) or not all(
+            isinstance(tok, (int, float)) for tok in data
+        ):
             raise InputError(f"{name}: @file must contain a JSON list of numbers")
         tokens = data
     else:

@@ -43,6 +43,22 @@ def _proj_sq(q: np.ndarray, v: np.ndarray) -> float:
     return float(c @ c)
 
 
+def _as_floats(a, name: str) -> np.ndarray:
+    """A fresh float64 copy of `a`. A string or bytes entry is refused, not
+    parsed: numpy would read ``"1"`` as 1.0. The check reads the dtype, and
+    the elements only of an object array. A boolean array is still read as
+    zero-one."""
+    try:
+        raw = np.asarray(a)
+        if raw.dtype.kind in "SU" or (
+            raw.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in raw.flat)
+        ):
+            raise InputError(f"{name}: expected numbers, got a string")
+        return raw.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name}: cannot interpret as a float array ({exc})") from exc
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert `a` to a finite float64 2-D array.
 
@@ -61,14 +77,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     Raises
     ------
     InputError
-        If coercion fails or any entry is not finite.
+        If coercion fails, `a` holds strings, or any entry is not finite.
     DimensionError
         If the result is not 2-D.
     """
-    try:
-        out = np.array(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: cannot interpret as a float array ({exc})") from exc
+    out = _as_floats(a, name)
     if out.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D array, got ndim={out.ndim}")
     if not np.all(np.isfinite(out)):
@@ -85,11 +98,9 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate and convert `v` to a finite float64 1-D array."""
-    try:
-        out = np.array(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: cannot interpret as a float array ({exc})") from exc
+    """Validate and convert `v` to a finite float64 1-D array; strings are
+    refused as in :func:`as_matrix`."""
+    out = _as_floats(v, name)
     if out.ndim != 1:
         raise DimensionError(f"{name}: expected a 1-D array, got ndim={out.ndim}")
     if not np.all(np.isfinite(out)):
@@ -115,7 +126,10 @@ def as_int(x, name: str) -> int:
 
 def as_positive(x, name: str) -> float:
     """``float(x)`` when that is positive and finite; InputError otherwise,
-    also where float() raises."""
+    also where float() raises. A string or a boolean is refused, not
+    parsed or taken as 1.0."""
+    if isinstance(x, (str, bytes, bool, np.bool_)):
+        raise InputError(f"{name}: expected a number, got {x!r}")
     try:
         value = float(x)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -126,93 +126,36 @@ class LtiSystem:
         return table[i0]
 
     @cached_property
-    def _reach_bits(self) -> tuple[int, ...]:
-        """Row i of `_reach` as an integer bitmask: bit j is set when i
-        reaches state j."""
-        n = self.n
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for j, k in zip(*(ends.tolist() for ends in np.nonzero(self.a.T))):
-            succ[j].append(k)
-        comp = _strong_components(succ)
-        members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
-        for j, c in enumerate(comp):
-            members[c].append(j)
-        # Tarjan's algorithm numbers a component after every component it
-        # reaches, so one pass in that order ORs in finished reach sets.
-        reach = []
-        for c, states in enumerate(members):
-            bits = 0
-            for j in states:
-                bits |= 1 << j
-                for k in succ[j]:
-                    if comp[k] != c:
-                        bits |= reach[comp[k]]
-            reach.append(bits)
-        return tuple(reach[c] for c in comp)
-
-    @cached_property
     def _reach(self) -> np.ndarray:
         """Boolean ``(n, n)`` table whose row i marks the states that i
         reaches in the digraph of `a`, i itself included, with an edge
         j -> k when ``a[k, j] != 0``. The closure of i is exactly zero
         outside row i: each of its columns is a combination of `a`
-        applied to e_i and to earlier columns. Read-only."""
-        n = self.n
-        size = (n + 7) // 8
-        packed = b"".join(bits.to_bytes(size, "little") for bits in self._reach_bits)
-        table = np.unpackbits(
-            np.frombuffer(packed, np.uint8).reshape(n, size),
-            axis=1,
-            count=n,
-            bitorder="little",
-        ).astype(bool)
-        table.setflags(write=False)
-        return table
+        applied to e_i and to earlier columns. Read-only.
 
+        Built by repeated boolean squaring: T starts as the edges plus the
+        identity, and each ``T @ T > 0`` marks the walks of up to twice the
+        length, until T stops growing. The product is taken in float32:
+        each entry counts states, so it is at most n, exact for n up to
+        2^24. A digraph whose longest shortest path has length L takes
+        about log2(L) + 1 squarings of n^3 work each, so a deep sparse one,
+        such as a chain, is the costliest."""
+        t = (self.a.T != 0.0) | np.eye(self.n, dtype=bool)
+        while True:
+            f = t.astype(np.float32)
+            grown = f @ f > 0.0
+            if np.count_nonzero(grown) == np.count_nonzero(t):
+                break
+            t = grown
+        t.setflags(write=False)
+        return t
 
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Strong component of every vertex of the digraph with successor
-    lists `succ`, numbered in the order Tarjan's algorithm completes them:
-    every component a vertex reaches has a number no larger than its own.
-    Iterative, so deep digraphs need no recursion."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    count = done = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            j, e = work.pop()
-            if e == 0:
-                index[j] = low[j] = count
-                count += 1
-                stack.append(j)
-            edges = succ[j]
-            while e < len(edges):
-                k = edges[e]
-                e += 1
-                if index[k] < 0:
-                    work.append((j, e))
-                    work.append((k, 0))
-                    break
-                if comp[k] < 0:
-                    low[j] = min(low[j], index[k])
-            else:
-                if low[j] == index[j]:
-                    while True:
-                        k = stack.pop()
-                        comp[k] = done
-                        if k == j:
-                            break
-                    done += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[j])
-    return comp
+    @cached_property
+    def _reach_bits(self) -> tuple[int, ...]:
+        """Row i of `_reach` as an integer bitmask: bit j is set when i
+        reaches state j."""
+        packed = np.packbits(self._reach, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,17 @@ class HittingSetInstance:
             norm.append(members)
         if not norm:
             raise InputError("sets: must be non-empty")
-        if seen != set(range(1, m + 1)):
-            missing = sorted(set(range(1, m + 1)) - seen)
-            raise InputError(f"every element must appear in some set; missing {missing}")
+        # Every member lies in 1..m, so the universe is covered exactly when
+        # m members are seen, and the first few missing elements lie at or
+        # below len(seen) + 5.
+        missing = m - len(seen)
+        if missing:
+            first = [j for j in range(1, min(m, len(seen) + 5) + 1) if j not in seen][:5]
+            names = ", ".join(map(str, first))
+            detail = f": {names}" if missing <= 5 else f", the first {names}, ..."
+            raise InputError(
+                f"every element must appear in some set; {missing} missing{detail}"
+            )
         object.__setattr__(self, "sets", tuple(norm))
 
     @property

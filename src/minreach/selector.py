@@ -530,27 +530,32 @@ def min_hitting_set(instance: "HittingSetInstance") -> tuple[int, ...]:
     sets = [frozenset(s) for s in instance.sets]
     if not sets:
         raise InputError("instance has no sets to hit")
+    m = instance.m
     top = {s: max(s) for s in sets}
     # Every set is non-empty, so the whole universe hits them all.
-    best = tuple(range(1, instance.m + 1))
+    best = tuple(range(1, m + 1))
     hit: list[int] = []
-
-    def descend(start: int, uncovered: list[frozenset[int]]) -> None:
-        nonlocal best
-        if not uncovered:
-            best = tuple(hit)
-            return
-        bound = len(hit) + _disjoint_lower_bound(uncovered)
-        for element in range(start, instance.m + 1):
-            if bound >= len(best):
-                return
-            rest = [s for s in uncovered if element not in s]
-            if len(rest) < len(uncovered):
-                hit.append(element)
-                descend(element + 1, rest)
+    # A frame per element taken, below the root's: the next element to try,
+    # the sets still uncovered, and a lower bound on any hitting set below.
+    # Iterative, so a deep search needs no recursion.
+    frames = [[1, sets, _disjoint_lower_bound(sets)]]
+    while frames:
+        frame = frames[-1]
+        element, uncovered, bound = frame
+        if element > m or bound >= len(best):
+            frames.pop()
+            if frames:
                 hit.pop()
-            if any(top[s] == element for s in uncovered):
-                return
-
-    descend(1, sets)
+            continue
+        # Past the largest element of an uncovered set, that set stays
+        # uncovered, so this is the frame's last element.
+        frame[0] = m + 1 if any(top[s] == element for s in uncovered) else element + 1
+        rest = [s for s in uncovered if element not in s]
+        if len(rest) < len(uncovered):
+            hit.append(element)
+            if rest:
+                frames.append([element + 1, rest, len(hit) + _disjoint_lower_bound(rest)])
+            else:
+                best = tuple(hit)
+                hit.pop()
     return best

@@ -675,6 +675,51 @@ def test_boolean_in_a_numeric_field_exits_2(tmp_path, case):
     assert err == f"error: {path}: expected numbers, got a JSON boolean\n"
 
 
+#: Input files with a number given as a JSON string, a command that reads
+#: each, and its error line; numpy and float() would parse each string.
+STRING_NUMBER = {
+    "system-a": (
+        {"n": 2, "a": [["0", "1"], ["1", "0"]]},
+        ["reach", "{path}", "--x1", "1,1", "--eps", "1"],
+        "a: expected numbers, got a string",
+    ),
+    "system-w": (
+        {"n": 2, "a": [[1.0, 0.0], [0.0, 2.0]], "w": [["1", 0.0]]},
+        ["reach", "{path}", "--x1", "1,1", "--eps", "1"],
+        "w: expected numbers, got a string",
+    ),
+    "x1-file": (
+        ["1", "0"],
+        ["reach", "{diag}", "--x1", "@{path}", "--eps", "1"],
+        "--x1: @file must contain a JSON list of numbers",
+    ),
+    "x0-file": (
+        [0.0, "0"],
+        ["oracle", "{diag}", "--x0", "@{path}", "--x1", "1,1", "--eps", "1"],
+        "--x0: @file must contain a JSON list of numbers",
+    ),
+    "ball-center": (
+        [{"center": ["1", "0"], "radius_sq": 0.5}],
+        ["subset-reach", "{diag}", "{path}"],
+        "center: expected numbers, got a string",
+    ),
+    "ball-radius": (
+        [{"center": [1.0, 0.0], "radius_sq": "0.5"}],
+        ["subset-reach", "{diag}", "{path}"],
+        "radius_sq: expected a number, got '0.5'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STRING_NUMBER))
+def test_string_in_a_numeric_field_exits_2(tmp_path, case):
+    payload, argv, message = STRING_NUMBER[case]
+    path = write_json(tmp_path / "input.json", payload)
+    diag = diag_system(tmp_path)
+    code, out, err = run_cli([arg.format(path=path, diag=diag) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestParserReuse:
     def test_calls_in_one_process_match_first_calls(self, tmp_path):
         # The parser is built once per process; a parse error must leave it

@@ -5,6 +5,7 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from minreach import (
     mat_exp,
 )
 from minreach.numkit import _SpanBuilder
+from minreach.numkit import as_matrix, as_positive, as_vector
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -74,6 +76,32 @@ class TestMatExp:
             [sys.executable, "-c", check], capture_output=True, text=True, env=env
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+class TestNumberValidators:
+    @pytest.mark.parametrize(
+        "check, value",
+        [
+            (as_matrix, [["0", "1"], ["1", "0"]]),
+            (as_matrix, [[1.0, "2"]]),
+            (as_matrix, np.array([[b"1"]])),
+            (as_vector, ["1", "0"]),
+            (as_vector, np.array(["0.5"])),
+            (as_vector, [Fraction(1, 2), "3"]),
+        ],
+    )
+    def test_strings_are_refused_not_parsed(self, check, value):
+        with pytest.raises(InputError, match=r"^x: expected numbers, got a string$"):
+            check(value, "x")
+
+    @pytest.mark.parametrize("value", ["0.5", np.str_("2"), b"1", True, np.True_])
+    def test_as_positive_refuses_a_string_or_a_boolean(self, value):
+        with pytest.raises(InputError, match=r"^x: expected a number, got "):
+            as_positive(value, "x")
+
+    def test_boolean_arrays_are_read_as_zero_one(self):
+        assert as_matrix(np.eye(2, dtype=bool)).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert as_vector(np.array([True, False])).tolist() == [1.0, 0.0]
 
 
 class TestBasisExtend:

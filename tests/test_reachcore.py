@@ -610,9 +610,26 @@ class TestCertifiedPicks:
                 order = rng.permutation(n)
                 a = block_diagonal(rng, [n])[np.ix_(order, order)] * (rng.random((n, n)) < 0.1)
             assert np.array_equal(LtiSystem(a)._reach, searched(a)), case
-        # A path of 2000 states, far deeper than the recursion limit.
+        # A path of 2000 states, the deepest digraph of its size: it takes
+        # the most squarings to close.
         chain = LtiSystem(np.diag(np.ones(1999), -1))._reach
         assert np.array_equal(chain, np.tril(np.ones((2000, 2000), dtype=bool)).T)
+        order = rng.permutation(40)
+        more = [
+            np.array([[0.0]]),
+            np.array([[-2.0]]),
+            np.zeros((6, 6)),
+            np.ones((7, 7)),
+            np.diag(np.ones(39), -1)[np.ix_(order, order)],
+        ]
+        for n in (65, 70, 130):
+            more.append(rng.standard_normal((n, n)) * (rng.random((n, n)) < 2.0 / n))
+        for a in more:
+            sys_ = LtiSystem(a)
+            assert np.array_equal(sys_._reach, searched(a))
+            assert sys_._reach_bits == tuple(
+                sum(1 << int(j) for j in np.flatnonzero(row)) for row in sys_._reach
+            )
 
     def test_bounds_track_the_support_of_each_pick(self):
         # On an upper-triangular A, state i reaches only states up to i, but

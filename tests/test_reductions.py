@@ -74,6 +74,24 @@ class TestHittingSetInstance:
         with pytest.raises(InputError):
             HittingSetInstance(m=2, sets=((1,),))
 
+    @pytest.mark.parametrize("m", [10**6, 10**18], ids=["1e6", "1e18"])
+    def test_a_large_universe_names_a_few_missing_elements(self, m):
+        # A check that listed the universe would not finish at m = 10^18,
+        # and the message stays short however many elements are missing.
+        with pytest.raises(InputError) as info:
+            HittingSetInstance(m=m, sets=((1, 3), (6,)))
+        assert str(info.value) == (
+            "every element must appear in some set; "
+            f"{m - 3} missing, the first 2, 4, 5, 7, 8, ..."
+        )
+
+    def test_names_every_missing_element_when_few(self):
+        with pytest.raises(InputError) as info:
+            HittingSetInstance(m=5, sets=((1, 3),))
+        assert str(info.value) == (
+            "every element must appear in some set; 3 missing: 2, 4, 5"
+        )
+
     def test_rejects_non_positive_universe(self):
         with pytest.raises(InputError):
             HittingSetInstance(m=0, sets=((1,),))

@@ -1195,6 +1195,15 @@ class TestMinHittingSet:
         got = within_seconds(3, lambda: min_hitting_set(instance))
         assert got == tuple(range(1, 29, 3))
 
+    def test_a_deep_search_needs_no_recursion(self):
+        # 1500 disjoint pairs: the first branch takes 1500 elements in a
+        # row, deeper than the interpreter's default recursion limit.
+        instance = HittingSetInstance(
+            m=3000, sets=tuple((2 * j - 1, 2 * j) for j in range(1, 1501))
+        )
+        got = within_seconds(10, lambda: min_hitting_set(instance))
+        assert got == tuple(range(1, 3000, 2))
+
     def test_result_hits_every_set(self):
         rng = np.random.default_rng(157)
         for _ in range(30):
