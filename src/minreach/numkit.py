@@ -124,16 +124,32 @@ def as_int(x, name: str) -> int:
     return value
 
 
+def _as_number(x, name: str) -> float:
+    """``float(x)``; InputError where float() raises and for a string, bytes
+    or a boolean, which are refused, not parsed or taken as 0 or 1."""
+    if isinstance(x, (str, bytes, bool, np.bool_)):
+        raise InputError(f"{name}: expected a number, got {x!r}")
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name}: expected a number, got {x!r}") from exc
+
+
+def as_finite(x, name: str) -> float:
+    """``float(x)`` when that is finite; InputError otherwise, also where
+    float() raises. A string or a boolean is refused, as by
+    :func:`as_positive`."""
+    value = _as_number(x, name)
+    if not math.isfinite(value):
+        raise InputError(f"{name}: must be finite, got {value}")
+    return value
+
+
 def as_positive(x, name: str) -> float:
     """``float(x)`` when that is positive and finite; InputError otherwise,
     also where float() raises. A string or a boolean is refused, not
     parsed or taken as 1.0."""
-    if isinstance(x, (str, bytes, bool, np.bool_)):
-        raise InputError(f"{name}: expected a number, got {x!r}")
-    try:
-        value = float(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name}: expected a number, got {x!r}") from exc
+    value = _as_number(x, name)
     if not (math.isfinite(value) and value > 0.0):
         raise InputError(f"{name}: must be positive and finite, got {value}")
     return value
@@ -160,9 +176,7 @@ def mat_exp(a, t: float) -> np.ndarray:
     import scipy.linalg
 
     a = as_square(a, "a")
-    t = float(t)
-    if not np.isfinite(t):
-        raise InputError("t: must be finite")
+    t = as_finite(t, "t")
     if a.shape[0] == 0:
         return np.zeros((0, 0))
     return scipy.linalg.expm(a * t)

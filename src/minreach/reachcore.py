@@ -29,6 +29,7 @@ from .errors import (
 from .numkit import (
     OrthoBasis,
     _SpanBuilder,
+    as_finite,
     as_int,
     as_matrix,
     as_square,
@@ -96,10 +97,14 @@ class LtiSystem:
         return {}
 
     def _closure(self, i0: int) -> _SpanBuilder:
-        """The closure of 0-based index `i0`, built on first use."""
+        """The closure of 0-based index `i0`, built on first use. Its rank
+        is capped at ``|R(i0)|``, the states i0 reaches (`_reach_bits`): the
+        closure is exactly zero outside them (see `_reach`), so once it has
+        that rank it spans them, and every later column would be absorbed
+        (see _index_closure)."""
         table = self._closures
         if i0 not in table:
-            table[i0] = _index_closure(self.a, i0)
+            table[i0] = _index_closure(self.a, i0, self._reach_bits[i0].bit_count())
         return table[i0]
 
     @cached_property
@@ -232,10 +237,8 @@ class TransferSpec:
             raise DimensionError(
                 f"x0 and x1 lengths differ: {x0.shape[0]} vs {x1.shape[0]}"
             )
-        t0 = float(self.t0)
-        t1 = float(self.t1)
-        if not (np.isfinite(t0) and np.isfinite(t1)):
-            raise InputError("t0, t1: must be finite")
+        t0 = as_finite(self.t0, "t0")
+        t1 = as_finite(self.t1, "t1")
         if not t1 > t0:
             raise InputError(f"time window must satisfy t1 > t0, got [{t0}, {t1}]")
         x0.setflags(write=False)
@@ -289,13 +292,21 @@ def _check_actuators(sys: LtiSystem, delta: ActuatorSet) -> None:
         )
 
 
-def _index_closure(a: np.ndarray, i0: int) -> _SpanBuilder:
+def _index_closure(a: np.ndarray, i0: int, cap: int) -> _SpanBuilder:
     """Closure of the 0-based index `i0`: the smallest A-invariant subspace
     containing the i0-th unit vector, the span of its Krylov columns.
 
     Built by a breadth-first sweep: step j applies `a` to accepted
     direction j and adds the result, until no accepted direction is left
-    to apply or the span is the whole space.
+    to apply or the rank reaches `cap`.
+
+    A cap at the number of states i0 reaches keeps every bit: each column
+    is exactly zero outside them, so a span of that rank is all of them,
+    and a further column lies in it. Gram-Schmidt with one
+    re-orthogonalisation leaves such a column a residual of rounding size,
+    O(eps * ||col||) (Giraud, Langou, Rozloznik and van den Eshof, 2005),
+    far below ``_absorb_tol(||col||)``, so `add` would absorb it and
+    change nothing.
     """
     n = a.shape[0]
     builder = _SpanBuilder(n)
@@ -303,7 +314,7 @@ def _index_closure(a: np.ndarray, i0: int) -> _SpanBuilder:
     seed[i0] = 1.0
     builder.add(seed)
     j = 0
-    while j < builder.rank < n:
+    while j < builder.rank < cap:
         builder.add(a @ builder.column(j))
         j += 1
     return builder
@@ -320,20 +331,27 @@ class _ReachAccumulator:
     the empty set comes from the system's shared table and holds read-only
     builders: `include` writes only into an accumulator that `copy` or the
     constructor made.
+
+    ``cover`` is the bitmask of the states the indices folded in reach, the
+    OR of their `LtiSystem._reach_bits`. The state span is exactly zero
+    outside them, so its rank is at most ``cover.bit_count()``, and once it
+    has that rank it spans them (see `include`).
     """
 
-    __slots__ = ("sys", "state", "out")
+    __slots__ = ("sys", "state", "out", "cover")
 
     def __init__(self, sys: LtiSystem):
         self.sys = sys
         self.state = _SpanBuilder(sys.n)
         self.out = _SpanBuilder(sys.output_dim) if sys.w is not None else None
+        self.cover = 0
 
     def copy(self) -> "_ReachAccumulator":
         other = _ReachAccumulator.__new__(_ReachAccumulator)
         other.sys = self.sys
         other.state = self.state.copy()
         other.out = None if self.out is None else self.out.copy()
+        other.cover = self.cover
         return other
 
     def extended(self, i0: int) -> "_ReachAccumulator":
@@ -347,6 +365,7 @@ class _ReachAccumulator:
         other = _ReachAccumulator.__new__(_ReachAccumulator)
         other.sys = self.sys
         other.state, other.out = self.sys._first_fold(i0)
+        other.cover = self.sys._reach_bits[i0]
         return other
 
     def include(self, i0: int) -> list[np.ndarray]:
@@ -354,18 +373,31 @@ class _ReachAccumulator:
 
         Returns the output-space directions that were newly accepted, in
         acceptance order.
+
+        Two caps skip `add` calls that could only be absorbed, so every
+        bit is kept. The fold stops once the state rank reaches
+        ``cover.bit_count()``: the span is then every state the indices
+        reach, and each closure column left lies in it, with a residual of
+        rounding size after the re-orthogonalisation (see _index_closure).
+        And once the output span is the whole output space, a new state
+        direction's W-image is neither taken nor added.
         """
-        src = self.sys._closure(i0)
-        w = self.sys.w
+        sys = self.sys
+        src = sys._closure(i0)
+        self.cover |= sys._reach_bits[i0]
+        full = self.cover.bit_count()
+        state, out, w = self.state, self.out, sys.w
         added: list[np.ndarray] = []
         for k in range(src.rank):
-            direction = self.state.add(src.column(k))
+            if state.rank == full:
+                break
+            direction = state.add(src.column(k))
             if direction is None:
                 continue
             if w is None:
                 added.append(direction)
-            else:
-                out_dir = self.out.add(w @ direction)
+            elif out.rank < out.dim:
+                out_dir = out.add(w @ direction)
                 if out_dir is not None:
                     added.append(out_dir)
         return added
@@ -495,12 +527,16 @@ def _subset_residuals(
     and each single index at most once per system; a prefix with too few
     indices left to reach `least` is not extended. The walk holds at most
     two accumulators per level of depth. A closure is built when the walk
-    first folds its index.
+    first folds its index. A fold stops once the subset's state span fills
+    the states its indices reach (see _ReachAccumulator.include), so a fold
+    that can add no rank makes no `add` call, and every residual keeps the
+    bits of the uncapped fold.
 
     Coverage rule, for a `limit` on an unweighted system: a subset is
     neither folded nor yielded, and nor is any subset below it, when the
     squared mass of `v` outside its hull exceeds `limit`. The hull is the
-    union of the rows of `LtiSystem._reach` of its indices and, for a
+    union of the rows of `LtiSystem._reach` of its indices (its prefix's
+    ``_ReachAccumulator.cover`` and its last index's row) and, for a
     subset of fewer than `k` indices, of every index above its largest.
     Every accumulated column is exactly zero outside the reach of its
     subset's indices, so each subset left out has a residual of at least
@@ -508,7 +544,10 @@ def _subset_residuals(
     rounding slack loses no subset within the threshold. A shared
     continuation (below) is pruned by X's hull, the smaller one, for both
     of its copies, which is as sound. With an output weight the output
-    span is not confined to the reach, and `limit` is ignored.
+    span is not confined to the reach, and `limit` is ignored. The mass
+    outside a hull is summed once per walk and kept by hull: many subsets
+    share a hull, and each sum is the same in the same order, so every
+    decision keeps its bits.
 
     Sharing rule: when extending a subset X of `size` indices by index i
     leaves the state rank unchanged, the fold wrote nothing, so X + {i} has
@@ -534,18 +573,25 @@ def _subset_residuals(
         for i0 in range(n - 1, -1, -1):
             suffix[i0] = suffix[i0 + 1] | reach[i0]
         mass = (v * v).tolist()
+        # The mass of v outside each hull met so far, by hull.
+        outside: dict[int, float] = {}
 
-    def extensions(acc, mask, size, start, res, cover):
+    def extensions(acc, mask, size, start, res):
         # Every subset mask + T, T a non-empty set of indices >= start,
-        # where `res` is mask's residual and `cover` the states it reaches.
+        # where `res` is mask's residual.
         for i0 in range(start, n):
             if size == k or n - i0 < least - size:
                 return
             bit = 1 << i0
-            child_cover = cover | reach[i0]
             if limit is not None:
-                hull = child_cover if size + 1 == k else child_cover | suffix[i0 + 1]
-                if sum(m for j, m in enumerate(mass) if not hull >> j & 1) > limit:
+                hull = acc.cover | reach[i0]
+                if size + 1 < k:
+                    hull |= suffix[i0 + 1]
+                if hull not in outside:
+                    outside[hull] = sum(
+                        m for j, m in enumerate(mass) if not hull >> j & 1
+                    )
+                if outside[hull] > limit:
                     continue
             child = acc.extended(i0)
             if (
@@ -553,7 +599,7 @@ def _subset_residuals(
                 and least <= size
                 and size + n - i0 <= k
             ):
-                rest = list(extensions(acc, mask, size, i0 + 1, res, cover))
+                rest = list(extensions(acc, mask, size, i0 + 1, res))
                 yield mask | bit, res
                 for sub_mask, sub_res in rest:
                     yield sub_mask | bit, sub_res
@@ -561,14 +607,12 @@ def _subset_residuals(
                 return
             child_res = nv2 - child.project_norm_sq(v)
             yield mask | bit, child_res
-            yield from extensions(
-                child, mask | bit, size + 1, i0 + 1, child_res, child_cover
-            )
+            yield from extensions(child, mask | bit, size + 1, i0 + 1, child_res)
 
     root = _ReachAccumulator(sys)
     root_res = nv2 - root.project_norm_sq(v)
     yield 0, root_res
-    yield from extensions(root, 0, 0, 0, root_res, 0)
+    yield from extensions(root, 0, 0, 0, root_res)
 
 
 def epsilon_a(sys: LtiSystem, v) -> float:

@@ -12,7 +12,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalInfeasibilityError
-from .numkit import _SpanBuilder, _absorb_tol, _proj_sq, as_int, as_positive, as_vector
+from .numkit import (
+    _SpanBuilder,
+    _absorb_tol,
+    _proj_sq,
+    as_finite,
+    as_int,
+    as_positive,
+    as_vector,
+)
 from .reachcore import (
     EXACT_TOL,
     N_BRUTE,
@@ -57,7 +65,8 @@ class GreedyTrace:
 
     def __post_init__(self):
         chosen = tuple(as_int(i, "chosen") for i in self.chosen)
-        residuals = tuple(float(r) for r in self.residuals)
+        residuals = tuple(as_finite(r, "residuals") for r in self.residuals)
+        epsilon = as_finite(self.epsilon, "epsilon")
         if len(residuals) != len(chosen) + 1:
             raise InputError("residuals must have one entry per pick plus the start")
         if len(set(chosen)) != len(chosen):
@@ -65,11 +74,11 @@ class GreedyTrace:
         for prev, cur in zip(residuals, residuals[1:]):
             if not cur < prev:
                 raise InputError("residuals must be strictly decreasing")
-        if residuals[-1] > float(self.epsilon):
+        if residuals[-1] > epsilon:
             raise InputError("final residual exceeds epsilon")
         object.__setattr__(self, "chosen", chosen)
         object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,9 +491,9 @@ def brute_force_opt(
             f"brute_force_opt is exhaustive and capped at n={N_BRUTE}, got n={sys.n}"
         )
     v = _check_system_vector(sys, v)
-    eps = float(eps)
-    if eps < 0.0 or not np.isfinite(eps):
-        raise InputError(f"eps: must be finite and non-negative, got {eps}")
+    eps = as_finite(eps, "eps")
+    if eps < 0.0:
+        raise InputError(f"eps: must be non-negative, got {eps}")
     n = sys.n
     if k_max is None:
         k_max = n

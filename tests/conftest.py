@@ -1,13 +1,16 @@
 """Shared test helpers: random system construction, an independent
-least-squares membership oracle, and an in-process CLI runner."""
+least-squares membership oracle, an in-process CLI runner, and a fixture
+that counts span columns accepted and absorbed."""
 
 import contextlib
 import io
 
 import numpy as np
+import pytest
 
 from minreach import ActuatorSet, LtiSystem
 from minreach.cli import main as cli_main
+from minreach.numkit import _SpanBuilder
 
 
 def random_system(rng, n, weighted=False):
@@ -62,3 +65,21 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def span_adds(monkeypatch):
+    """Every _SpanBuilder.add call made from now on, in call order, as a
+    ``(dim, accepted)`` pair: the dimension of the span, and True when the
+    column was accepted, False when it was absorbed.
+    ``collections.Counter(span_adds)`` tallies them."""
+    calls = []
+    add = _SpanBuilder.add
+
+    def counting(builder, col, tol=None):
+        direction = add(builder, col, tol)
+        calls.append((builder.dim, direction is not None))
+        return direction
+
+    monkeypatch.setattr(_SpanBuilder, "add", counting)
+    return calls

@@ -2,6 +2,7 @@
 projections, each against directly computed expected values."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from minreach import (
     mat_exp,
 )
 from minreach.numkit import _SpanBuilder
-from minreach.numkit import as_matrix, as_positive, as_vector
+from minreach.numkit import as_finite, as_matrix, as_positive, as_vector
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -67,6 +68,11 @@ class TestMatExp:
         with pytest.raises(InputError):
             mat_exp(np.eye(2), np.inf)
 
+    @pytest.mark.parametrize("t", ["1", "x", b"1", True, None])
+    def test_a_time_that_is_not_a_number_is_refused(self, t):
+        with pytest.raises(InputError, match=r"^t: expected a number, got "):
+            mat_exp(np.eye(2), t)
+
     def test_importing_the_cli_leaves_scipy_linalg_unimported(self):
         # scipy.linalg takes most of the package's import time, and only
         # mat_exp uses it. A fresh process, so no other test has imported it.
@@ -98,6 +104,30 @@ class TestNumberValidators:
     def test_as_positive_refuses_a_string_or_a_boolean(self, value):
         with pytest.raises(InputError, match=r"^x: expected a number, got "):
             as_positive(value, "x")
+
+    @pytest.mark.parametrize("value", ["0.5", np.str_("2"), b"1", True, np.True_])
+    def test_as_finite_refuses_a_string_or_a_boolean(self, value):
+        with pytest.raises(InputError, match=r"^x: expected a number, got "):
+            as_finite(value, "x")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e400, [1.0]])
+    def test_as_finite_refuses_what_is_not_a_finite_real(self, value):
+        with pytest.raises(InputError, match=r"^x: "):
+            as_finite(value, "x")
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (-2.5, -2.5),
+            (0, 0.0),
+            (np.float32(0.5), 0.5),
+            (np.int64(3), 3.0),
+            (Fraction(1, 4), 0.25),
+        ],
+    )
+    def test_as_finite_takes_a_finite_real(self, value, expected):
+        got = as_finite(value, "x")
+        assert type(got) is float and got == expected
 
     def test_boolean_arrays_are_read_as_zero_one(self):
         assert as_matrix(np.eye(2, dtype=bool)).tolist() == [[1.0, 0.0], [0.0, 1.0]]

@@ -3,7 +3,7 @@ subspaces, feasibility, controllability, transfer vectors, and the
 exact one-step relaxation threshold."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -19,11 +19,13 @@ from minreach import (
     TIE_BAND_REL,
     TransferSpec,
     UnsupportedOperationError,
+    bisection_exact,
     epsilon_a,
     erdos_renyi,
     is_controllable,
     is_feasible,
     reachable_subspace,
+    random_target,
     residual,
     star,
     transfer_vector,
@@ -130,6 +132,18 @@ class TestTransferSpec:
         spec = TransferSpec(x0=[0.0], x1=[1.0])
         assert spec.t0 == 0.0
         assert spec.t1 == 1.0
+
+    @pytest.mark.parametrize("field", ["t0", "t1"])
+    @pytest.mark.parametrize("value", ["1", "2.0", True, np.True_])
+    def test_a_time_that_is_a_string_or_a_boolean_is_refused(self, field, value):
+        times = {"t0": -1.0, "t1": 3.0, field: value}
+        with pytest.raises(InputError, match=rf"^{field}: expected a number, got "):
+            TransferSpec(x0=[0.0], x1=[1.0], **times)
+
+    @pytest.mark.parametrize("field", ["t0", "t1"])
+    def test_a_non_finite_time_is_refused(self, field):
+        with pytest.raises(InputError, match=rf"^{field}: must be finite"):
+            TransferSpec(x0=[0.0], x1=[1.0], **{field: math.nan})
 
 
 class TestReachableSubspace:
@@ -488,7 +502,7 @@ class TestBatchedClosuresAndExtensions:
     def test_closures_match_the_single_sweep(self):
         for sys_ in self.systems():
             for i0 in range(sys_.n):
-                built = reachcore._index_closure(sys_.a, i0)
+                built = sys_._closure(i0)
                 assert same_span(built, scalar_closure(sys_.a, i0))
 
     def repeated_row_cases(self):
@@ -708,3 +722,126 @@ class TestCertifiedPicks:
             want = fold_greedy(sys_, v, 1e-12 * float(v @ v))
             assert (path.chosen, path.residuals, path.stuck is not None) == want
         assert len(checked) > 400
+
+
+def uncapped_closure(a, i0):
+    """The breadth-first closure sweep with no rank cap: each accepted
+    direction's image under `a` is offered to the span, until no accepted
+    direction is left or the span is the whole space."""
+    n = a.shape[0]
+    builder = _SpanBuilder(n)
+    seed = np.zeros(n)
+    seed[i0] = 1.0
+    builder.add(seed)
+    j = 0
+    while j < builder.rank < n:
+        builder.add(a @ builder.column(j))
+        j += 1
+    return builder
+
+
+def uncapped_fold(sys_, order):
+    """The state and output spans of folding the uncapped closures of the
+    0-based indices `order`, in that order: every closure column offered to
+    the state span, and the W-image of every accepted direction to the
+    output span. Also returns how many of those offers were absorbed."""
+    state = _SpanBuilder(sys_.n)
+    out = None if sys_.w is None else _SpanBuilder(sys_.output_dim)
+    absorbed = 0
+    for i0 in order:
+        src = uncapped_closure(sys_.a, i0)
+        for k in range(src.rank):
+            direction = state.add(src.column(k))
+            absorbed += direction is None
+            if direction is not None and out is not None:
+                absorbed += out.add(sys_.w @ direction) is None
+    return state, out, absorbed
+
+
+def same_bits(x, y):
+    """Whether two spans hold the same columns to the bit, or both are None."""
+    if x is None or y is None:
+        return x is y
+    return x.rank == y.rank and np.array_equal(
+        x.span().view(np.int64), y.span().view(np.int64)
+    )
+
+
+class TestRankCaps:
+    """A closure stops at the rank of its reach, a fold at the rank of its
+    subset's reach, and an output span takes nothing once full. Each cap
+    skips only `add` calls that would be absorbed, so every span keeps the
+    bits of the uncapped sweep and fold."""
+
+    def systems(self):
+        rng = np.random.default_rng(4409)
+        for n in (6, 11, 16):
+            blocks = block_diagonal(rng, [1 + k % 4 for k in range(n // 2)])
+            sparse = rng.standard_normal((n, n)) * (rng.random((n, n)) < 1.5 / n)
+            for a in (blocks, sparse, rng.standard_normal((n, n))):
+                yield LtiSystem(a)
+                m = a.shape[0]
+                for q in (m // 2, m + 3):
+                    yield LtiSystem(a, rng.standard_normal((q, m)))
+
+    def test_closures_and_folds_keep_the_uncapped_bits(self):
+        rng = np.random.default_rng(4421)
+        absorbed = checked = 0
+        for sys_ in self.systems():
+            n = sys_.n
+            for i0 in range(n):
+                assert same_bits(sys_._closure(i0), uncapped_closure(sys_.a, i0))
+                state, out, skipped = uncapped_fold(sys_, [i0])
+                assert same_bits(sys_._first_fold(i0)[0], state)
+                assert same_bits(sys_._first_fold(i0)[1], out)
+                absorbed += skipped
+            for _ in range(12):
+                delta = random_actuators(rng, n)
+                acc = reachcore._accumulate(sys_, delta)
+                state, out, skipped = uncapped_fold(sys_, [i - 1 for i in delta.indices])
+                assert same_bits(acc.state, state) and same_bits(acc.out, out)
+                absorbed += skipped
+                order = [int(i0) for i0 in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+                acc = reachcore._ReachAccumulator(sys_)
+                for i0 in order:
+                    acc = acc.extended(i0)
+                state, out, skipped = uncapped_fold(sys_, order)
+                assert same_bits(acc.state, state) and same_bits(acc.out, out)
+                absorbed += skipped
+                checked += 2
+        # The caps had absorbed offers to skip.
+        assert checked == 648 and absorbed > 10_000
+
+
+class TestSpanAddCounts:
+    """`add` calls pinned with the span_adds fixture, as Counter of
+    ``(dim, accepted)``."""
+
+    def test_a_strongly_connected_block_closure_makes_one_add_per_state(self, span_adds):
+        sizes = (3, 5, 1, 4)
+        sys_ = LtiSystem(block_diagonal(np.random.default_rng(4451), sizes))
+        i0 = 0
+        for size in sizes:
+            for _ in range(size):
+                span_adds.clear()
+                assert sys_._closure(i0).rank == size
+                assert Counter(span_adds) == {(sys_.n, True): size}
+                i0 += 1
+
+    def test_a_first_fold_takes_one_output_add_per_output_row(self, span_adds):
+        rng = np.random.default_rng(4457)
+        n = 12
+        q = n // 2
+        sys_ = LtiSystem(rng.standard_normal((n, n)), rng.standard_normal((q, n)))
+        sys_._closure(3)
+        span_adds.clear()
+        state, out = sys_._first_fold(3)
+        assert (state.rank, out.rank) == (n, q)
+        assert Counter(span_adds) == {(q, True): q, (n, True): n}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_an_exact_solve_makes_two_adds_per_state(self, span_adds, seed):
+        # One closure of rank n and the first pick's fold of it.
+        n = 50
+        bisection_exact(erdos_renyi(n, seed), random_target(n, seed), 1.0)
+        assert Counter(span_adds) == {(n, True): 2 * n}

@@ -100,6 +100,16 @@ class TestGreedyTrace:
         with pytest.raises(InputError):
             GreedyTrace(chosen=(index,), residuals=(2.0, 1.0), epsilon=1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, "1.0", True])
+    def test_rejects_an_epsilon_that_is_not_a_finite_number(self, epsilon):
+        with pytest.raises(InputError, match=r"^epsilon: "):
+            GreedyTrace(chosen=(1,), residuals=(2.0, 1.0), epsilon=epsilon)
+
+    @pytest.mark.parametrize("residual", ["1.0", True, math.inf])
+    def test_rejects_a_residual_that_is_not_a_finite_number(self, residual):
+        with pytest.raises(InputError, match=r"^residuals: "):
+            GreedyTrace(chosen=(1,), residuals=(2.0, residual), epsilon=1.5)
+
     def test_accepts_integral_picks(self):
         trace = GreedyTrace(
             chosen=(2.0, np.int64(1)), residuals=(2.0, 1.0, 0.0), epsilon=0.5
@@ -367,9 +377,9 @@ def counted_builds(monkeypatch):
     built = []
     build = reachcore._index_closure
 
-    def counting(a, i0):
+    def counting(a, i0, cap):
         built.append(i0)
-        return build(a, i0)
+        return build(a, i0, cap)
 
     monkeypatch.setattr(reachcore, "_index_closure", counting)
     return built
@@ -768,6 +778,11 @@ class TestBruteForceOpt:
         with pytest.raises(InputError):
             brute_force_opt(DIAG12, [1.0, 1.0], -1e-6)
 
+    @pytest.mark.parametrize("eps", ["0.5", b"1", True, np.True_, math.nan, math.inf])
+    def test_rejects_an_eps_that_is_not_a_finite_number(self, eps):
+        with pytest.raises(InputError, match=r"^eps: "):
+            brute_force_opt(DIAG12, [1.0, 1.0], eps)
+
     def test_minimal_among_feasible(self):
         rng = np.random.default_rng(149)
         for _ in range(20):
@@ -931,6 +946,13 @@ class TestSharedSubsetWalk:
         v = np.random.default_rng(1733).standard_normal(sys_.n)
         assert math.isfinite(epsilon_a(sys_, v))
         assert len(include_calls) == expected
+
+    def test_epsilon_a_makes_no_add_that_is_absorbed(self, span_adds):
+        # Every fold stops once its state span fills its subset's reach.
+        sys_ = cycle_blocks(4, 4, 4)
+        v = np.random.default_rng(1733).standard_normal(sys_.n)
+        assert math.isfinite(epsilon_a(sys_, v))
+        assert span_adds and all(accepted for _, accepted in span_adds)
 
     def test_a_fold_the_output_weight_kills_is_not_shared(self):
         # Index 1 grows the state span by e1, which W kills, so the output
