@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import InputError, NumericalInfeasibilityError
-from .numkit import as_int, as_matrix, as_positive, as_square
+from .numkit import as_int, as_positive
 from .reachcore import (
     ActuatorSet,
     LtiSystem,
@@ -82,13 +82,10 @@ def _load_system(path: str) -> LtiSystem:
     if "n" not in data or "a" not in data:
         raise InputError(f"{path}: system file needs fields 'n' and 'a'")
     n = as_int(data["n"], f"{path}: 'n'")
-    a = as_square(data["a"], "a")
-    if a.shape[0] != n:
-        raise InputError(f"{path}: 'a' is {a.shape[0]}x{a.shape[1]} but n={n}")
-    w = None
-    if data.get("w") is not None:
-        w = as_matrix(data["w"], "w")
-    return LtiSystem(a, w)
+    sys_ = LtiSystem(data["a"], data.get("w"))
+    if sys_.n != n:
+        raise InputError(f"{path}: 'a' is {sys_.n}x{sys_.n} but n={n}")
+    return sys_
 
 
 def _system_payload(sys_: LtiSystem, seed: int | None = None) -> dict:

@@ -285,13 +285,6 @@ def _check_system_vector(sys: LtiSystem, v, name: str = "v") -> np.ndarray:
     return v
 
 
-def _check_actuators(sys: LtiSystem, delta: ActuatorSet) -> None:
-    if delta.n != sys.n:
-        raise DimensionError(
-            f"actuator set is over dimension {delta.n}, system has n={sys.n}"
-        )
-
-
 def _index_closure(a: np.ndarray, i0: int, cap: int) -> _SpanBuilder:
     """Closure of the 0-based index `i0`: the smallest A-invariant subspace
     containing the i0-th unit vector, the span of its Krylov columns.
@@ -325,12 +318,14 @@ class _ReachAccumulator:
 
     Maintains a state-space span (where invariance lives) and, when the
     system carries an output weight, a parallel output-space span that
-    projections and gains are measured in. `extended` serves the greedy,
-    which folds its winner into a new accumulator, the exhaustive subset
-    walk, which extends each subset's prefix, and _accumulate. A fold into
-    the empty set comes from the system's shared table and holds read-only
-    builders: `include` writes only into an accumulator that `copy` or the
-    constructor made.
+    projections and gains are measured in. Callers read a target's
+    squared residual from `residual_sq`, and a fold's new directions as
+    the columns it appended, ``output_builder.span(rank_before)``.
+    `extended` serves the greedy, which folds its winner into a new
+    accumulator, the exhaustive subset walk, which extends each subset's
+    prefix, and _accumulate. A fold into the empty set comes from the
+    system's shared table and holds read-only builders: `include` writes
+    only into an accumulator that `copy` or the constructor made.
 
     ``cover`` is the bitmask of the states the indices folded in reach, the
     OR of their `LtiSystem._reach_bits`. The state span is exactly zero
@@ -368,11 +363,9 @@ class _ReachAccumulator:
         other.cover = self.sys._reach_bits[i0]
         return other
 
-    def include(self, i0: int) -> list[np.ndarray]:
-        """Fold in the closure of 0-based index `i0`.
-
-        Returns the output-space directions that were newly accepted, in
-        acceptance order.
+    def include(self, i0: int) -> None:
+        """Fold in the closure of 0-based index `i0`, appending the state
+        directions it accepts to ``state`` and their W-images to ``out``.
 
         Two caps skip `add` calls that could only be absorbed, so every
         bit is kept. The fold stops once the state rank reaches
@@ -387,36 +380,32 @@ class _ReachAccumulator:
         self.cover |= sys._reach_bits[i0]
         full = self.cover.bit_count()
         state, out, w = self.state, self.out, sys.w
-        added: list[np.ndarray] = []
         for k in range(src.rank):
             if state.rank == full:
                 break
             direction = state.add(src.column(k))
-            if direction is None:
-                continue
-            if w is None:
-                added.append(direction)
-            elif out.rank < out.dim:
-                out_dir = out.add(w @ direction)
-                if out_dir is not None:
-                    added.append(out_dir)
-        return added
+            if direction is not None and out is not None and out.rank < out.dim:
+                out.add(w @ direction)
 
     @property
     def output_builder(self) -> _SpanBuilder:
         return self.state if self.out is None else self.out
 
-    def project_norm_sq(self, v: np.ndarray) -> float:
-        nv2 = float(v @ v)
-        return min(max(self.output_builder.project_norm_sq(v), 0.0), nv2)
-
     def residual_sq(self, v: np.ndarray) -> float:
-        return float(v @ v) - self.project_norm_sq(v)
+        """Squared distance from `v` to the output span: ``||v||^2`` less
+        the projection's squared norm clamped to ``[0, ||v||^2]``."""
+        nv2 = float(v @ v)
+        return nv2 - min(max(self.output_builder.project_norm_sq(v), 0.0), nv2)
 
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
     """The accumulator of `delta`, its indices folded in ascending order:
-    the shared fold of the smallest, then one copy that takes the rest."""
+    the shared fold of the smallest, then one copy that takes the rest.
+    A set over another dimension than `sys` raises DimensionError."""
+    if delta.n != sys.n:
+        raise DimensionError(
+            f"actuator set is over dimension {delta.n}, system has n={sys.n}"
+        )
     acc = _ReachAccumulator(sys)
     if not delta.indices:
         return acc
@@ -437,7 +426,6 @@ def reachable_subspace(sys: LtiSystem, delta: ActuatorSet) -> OrthoBasis:
     deterministic for fixed inputs: indices are folded in ascending order
     and each index's closure directions in their generation order.
     """
-    _check_actuators(sys, delta)
     return _accumulate(sys, delta).output_builder.freeze()
 
 
@@ -447,9 +435,8 @@ def residual(sys: LtiSystem, delta: ActuatorSet, v) -> float:
     Always non-negative; zero (up to tolerance) exactly when the transfer
     from the origin to `v` is feasible.
     """
-    _check_actuators(sys, delta)
-    v = _check_system_vector(sys, v)
-    return _accumulate(sys, delta).residual_sq(v)
+    acc = _accumulate(sys, delta)
+    return acc.residual_sq(_check_system_vector(sys, v))
 
 
 def is_feasible(sys: LtiSystem, delta: ActuatorSet, v) -> FeasibilityReport:
@@ -458,9 +445,8 @@ def is_feasible(sys: LtiSystem, delta: ActuatorSet, v) -> FeasibilityReport:
     Feasible means the squared residual is at most ``EXACT_TOL * ||v||^2``.
     The zero vector is feasible under any actuator set.
     """
-    _check_actuators(sys, delta)
-    v = _check_system_vector(sys, v)
     acc = _accumulate(sys, delta)
+    v = _check_system_vector(sys, v)
     res = acc.residual_sq(v)
     nv2 = float(v @ v)
     return FeasibilityReport(
@@ -476,8 +462,9 @@ def is_controllable(sys: LtiSystem, delta: ActuatorSet) -> bool:
     Defined for the unweighted variant only; a system with a non-identity
     output weight raises UnsupportedOperationError.
     """
-    _check_actuators(sys, delta)
-    if sys.w is not None and not (
+    # _accumulate refuses a set over another dimension first; any other
+    # set on a weighted system is refused here, before it is folded.
+    if delta.n == sys.n and sys.w is not None and not (
         sys.w.shape[0] == sys.n and np.array_equal(sys.w, np.eye(sys.n))
     ):
         raise UnsupportedOperationError(
@@ -517,8 +504,9 @@ def _subset_residuals(
 ) -> Iterator[tuple[int, float]]:
     """Yield ``(mask, residual_sq)`` of `v` for every subset of at most `k`
     0-based indices that is a subset of one with at least `least`, keyed by
-    index bitmask. Each residual is what the subset's
-    ``_ReachAccumulator.residual_sq(v)`` gives, with ||v||^2 computed once.
+    index bitmask. Each residual is the subset's
+    ``_ReachAccumulator.residual_sq(v)``, which takes ``v @ v`` once per
+    subset, and the empty set's is ``v @ v`` itself.
 
     Subsets are walked depth first, each index included before it is
     skipped, so the subsets of each size come in lexicographic order. Each
@@ -605,14 +593,12 @@ def _subset_residuals(
                     yield sub_mask | bit, sub_res
                 yield from rest
                 return
-            child_res = nv2 - child.project_norm_sq(v)
+            child_res = child.residual_sq(v)
             yield mask | bit, child_res
             yield from extensions(child, mask | bit, size + 1, i0 + 1, child_res)
 
-    root = _ReachAccumulator(sys)
-    root_res = nv2 - root.project_norm_sq(v)
-    yield 0, root_res
-    yield from extensions(root, 0, 0, 0, root_res)
+    yield 0, nv2
+    yield from extensions(_ReachAccumulator(sys), 0, 0, 0, nv2)
 
 
 def epsilon_a(sys: LtiSystem, v) -> float:

@@ -123,10 +123,11 @@ class _GreedyPath:
     state directions that meets it, so i's residual closure is exactly
     zero outside it. A weighted path bounds every score by
     ``||r||^2 * (1 + _BOUND_SLACK_REL * n)``. ``blocks`` keeps each pick's
-    new state directions, their support and the residual of `v` then: a
-    candidate built late replays them in order, and so holds the basis and
-    score it would hold had it been built at the start. Scores are -inf
-    for candidates pending or gone.
+    new state directions, the rows of ``support`` they met and the
+    residual of `v` then: a candidate built late replays the ones that met
+    its row in order, and so holds the basis and score it would hold had
+    it been built at the start. Scores are -inf for candidates pending or
+    gone.
 
     When the sequence cannot continue, ``stuck`` holds the message, with
     ``{eps!r}`` standing for the threshold of the query that meets it and
@@ -204,7 +205,7 @@ class _GreedyPath:
         hit = d.any(axis=1)
         meets = (self.support & hit).any(axis=1)
         self.support[meets] |= hit
-        self.blocks.append((d, hit, r))
+        self.blocks.append((d, meets, r))
         builder = _SpanBuilder.holding(d)
         for i0 in [i0 for i0 in self.bases if meets[i0]]:
             self._absorb(i0, d, builder, r)
@@ -262,10 +263,8 @@ class _GreedyPath:
             self.scores[i0] = closure.project_norm_sq(self.v)
         elif not self.blocks:
             self.scores[i0] = sys._first_fold(i0)[1].project_norm_sq(self.v)
-        support = sys._reach[i0].copy()
-        for d, hit, r in self.blocks:
-            if (support & hit).any():
-                support |= hit
+        for d, meets, r in self.blocks:
+            if meets[i0]:
                 self._absorb(i0, d, _SpanBuilder.holding(d), r)
                 if i0 not in self.bases:
                     return

@@ -1,16 +1,26 @@
 """Shared test helpers: random system construction, an independent
-least-squares membership oracle, an in-process CLI runner, and a fixture
-that counts span columns accepted and absorbed."""
+least-squares membership oracle, an in-process CLI runner, a fixture
+that counts span columns accepted and absorbed, and the hypothesis
+profile."""
 
 import contextlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from minreach import ActuatorSet, LtiSystem
 from minreach.cli import main as cli_main
 from minreach.numkit import _SpanBuilder
+
+
+# One profile for every property test: the same examples on every run, no
+# example database, and no per-example deadline on a shared machine.
+settings.register_profile(
+    "minreach", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile("minreach")
 
 
 def random_system(rng, n, weighted=False):

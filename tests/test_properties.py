@@ -1,0 +1,90 @@
+"""Documented contracts as hypothesis properties, on the sparse,
+block-diagonal and triangular state matrices that the seeded corpora,
+dense Gaussian or Erdos-Renyi, do not produce. The examples are
+derandomized (see the profile in conftest.py), so every run draws the
+same ones."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from minreach import LtiSystem, brute_force_opt, greedy_eps
+from test_reachcore import fold_greedy
+
+#: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
+#: rank decision falls at the absolute tolerance and no squared norm
+#: underflows.
+ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(0.125, 2.0),
+    st.floats(-2.0, -0.125),
+)
+
+
+@st.composite
+def state_matrices(draw, max_n=6):
+    """A sparse, block-diagonal or lower-triangular A with n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    a = draw(arrays(np.float64, (n, n), elements=ENTRIES))
+    kind = draw(st.sampled_from(["sparse", "blocks", "triangular"]))
+    if kind == "sparse":
+        a *= draw(arrays(np.bool_, (n, n), elements=st.booleans()))
+    elif kind == "blocks":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(draw(st.integers(1, n - sum(sizes))))
+        mask = np.zeros((n, n), dtype=bool)
+        start = 0
+        for size in sizes:
+            mask[start : start + size, start : start + size] = True
+            start += size
+        a *= mask
+    else:
+        a = np.tril(a)
+    return a
+
+
+@st.composite
+def problems(draw):
+    """A system and a non-zero target, some of whose entries are zero."""
+    a = draw(state_matrices())
+    n = a.shape[0]
+    v = draw(arrays(np.float64, n, elements=ENTRIES).filter(lambda v: v.any()))
+    return LtiSystem(a), v
+
+
+@given(problems(), st.sampled_from([0.5, 1e-6]))
+def test_greedy_is_the_fold_greedy(problem, rel):
+    # The package's greedy scores candidates by residual closures and
+    # bounds; the reference folds every candidate. Picks and residual
+    # traces agree to the bit, at a loose and a tight threshold.
+    sys_, v = problem
+    eps = rel * float(v @ v)
+    picks, residuals, stuck = fold_greedy(sys_, v, eps)
+    assert not stuck
+    delta, trace = greedy_eps(sys_, v, eps)
+    assert trace.chosen == tuple(i0 + 1 for i0 in picks)
+    assert delta.indices == tuple(sorted(trace.chosen))
+    assert trace.residuals == tuple(residuals)
+
+
+@given(problems())
+def test_brute_force_is_no_larger_than_the_greedy(problem):
+    sys_, v = problem
+    eps = 1e-6 * float(v @ v)
+    delta, _ = greedy_eps(sys_, v, eps)
+    assert brute_force_opt(sys_, v, eps).cardinality <= delta.cardinality
+
+
+@given(problems(), st.data())
+def test_brute_force_cardinality_ignores_state_labels(problem, data):
+    # Relabelling the states by a permutation P maps A to P A P^T and v to
+    # P v: new state i is old state perm[i]. The optimum's size does not
+    # depend on the labels, though which optimal set comes first may.
+    sys_, v = problem
+    perm = np.array(data.draw(st.permutations(range(sys_.n))))
+    moved = LtiSystem(sys_.a[np.ix_(perm, perm)])
+    eps = 1e-6 * float(v @ v)
+    opt = brute_force_opt(sys_, v, eps)
+    assert brute_force_opt(moved, v[perm], eps).cardinality == opt.cardinality

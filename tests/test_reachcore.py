@@ -272,6 +272,47 @@ class TestIsControllable:
         with pytest.raises(UnsupportedOperationError):
             is_controllable(sys_, ActuatorSet.full(2))
 
+    def test_non_identity_weight_is_refused_before_any_fold(self, span_adds):
+        sys_ = LtiSystem(np.diag([1.0, 2.0]), w=np.ones((1, 2)))
+        with pytest.raises(UnsupportedOperationError):
+            is_controllable(sys_, ActuatorSet.full(2))
+        assert span_adds == []
+
+
+#: Every call that takes an actuator set, as ``call(sys_, delta, v)``.
+SET_CALLS = {
+    "reachable_subspace": lambda sys_, delta, v: reachable_subspace(sys_, delta),
+    "residual": residual,
+    "is_feasible": is_feasible,
+    "is_controllable": lambda sys_, delta, v: is_controllable(sys_, delta),
+}
+
+
+class TestSetDimension:
+    """A set over another dimension than the system's is refused first:
+    before a bad vector, and before a non-identity W."""
+
+    MESSAGE = "actuator set is over dimension 3, system has n=2"
+
+    @pytest.mark.parametrize("call", list(SET_CALLS))
+    def test_refuses_a_set_over_another_dimension(self, call):
+        with pytest.raises(DimensionError) as exc_info:
+            SET_CALLS[call](DIAG12, ActuatorSet(3, (1,)), [1.0, 2.0])
+        assert str(exc_info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("call", ["residual", "is_feasible"])
+    @pytest.mark.parametrize("v", [[1.0, 2.0, 3.0], [1.0, math.inf], [1e200, 0.0]])
+    def test_the_set_is_refused_before_the_vector(self, call, v):
+        with pytest.raises(DimensionError) as exc_info:
+            SET_CALLS[call](DIAG12, ActuatorSet(3, (1,)), v)
+        assert str(exc_info.value) == self.MESSAGE
+
+    def test_the_set_is_refused_before_the_weight(self):
+        sys_ = LtiSystem(np.diag([1.0, 2.0]), w=np.ones((1, 2)))
+        with pytest.raises(DimensionError) as exc_info:
+            is_controllable(sys_, ActuatorSet(3, (1,)))
+        assert str(exc_info.value) == self.MESSAGE
+
 
 class TestTransferVector:
     def test_origin_start(self):
@@ -430,8 +471,10 @@ def scalar_best_extension(acc, indices, v, band=0.0):
     trials = {}
     for i0 in indices:
         trial = acc.copy()
+        start = trial.output_builder.rank
+        trial.include(i0)
         gain = 0.0
-        for direction in trial.include(i0):
+        for direction in trial.output_builder.span(start).T:
             dot = float(direction @ v)
             gain += dot * dot
         if gain > 0.0:

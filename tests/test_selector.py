@@ -154,6 +154,27 @@ class TestGreedyEps:
             pytest.approx(0.0, abs=1e-12),
         )
 
+    def test_first_pick_can_leave_more_than_the_optimum_bound(self):
+        # The residual is not supermodular in the set (Jadbabaie, Olshevsky,
+        # Pappas and Tzoumas, IEEE TAC 2019), so no contraction by
+        # 1 - 1/k* per pick holds: here k* = 2, and the best single index
+        # leaves more than half of ||v||^2. The trace still strictly
+        # decreases and stops at the first residual at most eps.
+        a = np.zeros((5, 5))
+        a[0, 1], a[0, 4], a[1, 2] = 0.29003177, 0.27121503, 1.22774495
+        a[2, 2], a[3, 1] = 0.34999058, -0.93768133
+        sys_ = LtiSystem(a)
+        v = np.array([0.70567885, 0.85337443, 0.36007212, 1.4745147, -1.11134686])
+        nv2 = float(v @ v)
+        eps = 1e-6 * nv2
+        assert brute_force_opt(sys_, v, eps).indices == (3, 5)
+        singles = [residual(sys_, ActuatorSet(5, (i,)), v) for i in range(1, 6)]
+        assert min(singles) == singles[2] > nv2 / 2
+        delta, trace = greedy_eps(sys_, v, eps)
+        assert delta.indices == trace.chosen == (3, 5)
+        assert trace.residuals[:2] == (nv2, singles[2])
+        assert trace.residuals[1] > eps >= trace.residuals[2]
+
     def test_rejects_non_positive_eps(self):
         with pytest.raises(InputError):
             greedy_eps(DIAG12, [1.0, 1.0], 0.0)
@@ -882,9 +903,8 @@ def plain_walk(sys_, v, k, least=0):
     subtree. Each subset is its prefix's accumulator copied and extended
     by one index, from an explicit stack of subsets still to extend."""
     n = sys_.n
-    nv2 = float(v @ v)
     root = _ReachAccumulator(sys_)
-    yield 0, nv2 - root.project_norm_sq(v)
+    yield 0, root.residual_sq(v)
     stack = [(root, 0, 0, 0)]
     while stack:
         acc, mask, size, i0 = stack.pop()
@@ -894,7 +914,7 @@ def plain_walk(sys_, v, k, least=0):
         child = acc.copy()
         child.include(i0)
         child_mask = mask | 1 << i0
-        yield child_mask, nv2 - child.project_norm_sq(v)
+        yield child_mask, child.residual_sq(v)
         stack.append((child, child_mask, size + 1, i0 + 1))
 
 
