@@ -243,6 +243,10 @@ class _SpanBuilder:
         """Make the span read-only: a later `add` or `truncate` raises."""
         self._q.setflags(write=False)
 
+    @property
+    def sealed(self) -> bool:
+        return not self._q.flags.writeable
+
     def column(self, k: int) -> np.ndarray:
         """View of accepted column k. A column moves when the buffer
         grows, but an outgrown buffer is never written again, so a held

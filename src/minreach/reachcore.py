@@ -162,6 +162,22 @@ class LtiSystem:
         packed = np.packbits(self._reach, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
+    @cached_property
+    def _reach_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(group, rows)``: `rows` holds the distinct rows of `_reach`, in
+        order of first occurrence, and ``group[i]`` is the position of row i
+        among them. Indices of one group reach the same states, so a greedy
+        that tracks a support per index can keep one per group: each index's
+        starts as its row, and every update ORs the same states into each
+        support that meets them, so supports that start equal stay equal
+        and a group never splits. Read-only."""
+        ids: dict[int, int] = {}
+        group = np.array([ids.setdefault(bits, len(ids)) for bits in self._reach_bits])
+        rows = self._reach[np.unique(group, return_index=True)[1]]
+        group.setflags(write=False)
+        rows.setflags(write=False)
+        return group, rows
+
 
 @dataclass(frozen=True)
 class ActuatorSet:
@@ -321,11 +337,18 @@ class _ReachAccumulator:
     projections and gains are measured in. Callers read a target's
     squared residual from `residual_sq`, and a fold's new directions as
     the columns it appended, ``output_builder.span(rank_before)``.
-    `extended` serves the greedy, which folds its winner into a new
-    accumulator, the exhaustive subset walk, which extends each subset's
-    prefix, and _accumulate. A fold into the empty set comes from the
-    system's shared table and holds read-only builders: `include` writes
-    only into an accumulator that `copy` or the constructor made.
+    `extended` serves the exhaustive subset walk, which extends each
+    subset's prefix, and _accumulate; `fold` serves the greedy, which keeps
+    only the accumulator of its picks. A fold into the empty set comes from
+    the system's shared table and holds read-only builders: `include`
+    writes only into an accumulator that `copy` or the constructor made.
+
+    A fold made in place is undone by `truncate` to the `mark` taken before
+    it: each span rolls back to its rank then (_SpanBuilder.truncate), and
+    `cover` to its value. The columns the fold appended stay in the buffers
+    until a later `add` writes over them, and the columns kept are not
+    touched, so a rolled-back accumulator folds as it would have had the
+    fold never been made.
 
     ``cover`` is the bitmask of the states the indices folded in reach, the
     OR of their `LtiSystem._reach_bits`. The state span is exactly zero
@@ -362,6 +385,28 @@ class _ReachAccumulator:
         other.state, other.out = self.sys._first_fold(i0)
         other.cover = self.sys._reach_bits[i0]
         return other
+
+    def fold(self, i0: int) -> "_ReachAccumulator":
+        """This accumulator with the closure of 0-based index `i0` folded
+        in, for a caller that keeps only the result: `extended` from the
+        empty set and from a shared fold, whose builders are read-only, so
+        that a path of picks makes one copy; otherwise this accumulator
+        itself, folded in place by `include`."""
+        if self.state.rank and not self.state.sealed:
+            self.include(i0)
+            return self
+        return self.extended(i0)
+
+    def mark(self) -> tuple[int, int, int]:
+        """The state rank, output rank and cover that `truncate` restores."""
+        return self.state.rank, self.output_builder.rank, self.cover
+
+    def truncate(self, mark: tuple[int, int, int]) -> None:
+        """Roll back every fold made in place since `mark` was taken."""
+        rank, out_rank, self.cover = mark
+        self.state.truncate(rank)
+        if self.out is not None:
+            self.out.truncate(out_rank)
 
     def include(self, i0: int) -> None:
         """Fold in the closure of 0-based index `i0`, appending the state

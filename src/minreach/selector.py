@@ -48,6 +48,9 @@ TIE_BAND_REL = 4 * 2.0**-52
 #: score came within 0.4 * n ulps of ||r on U||^2 above it.
 _BOUND_SLACK_REL = TIE_BAND_REL / 2
 
+#: The smallest positive float64.
+_TINY = math.ulp(0.0)
+
 
 @dataclass(frozen=True)
 class GreedyTrace:
@@ -118,25 +121,32 @@ class _GreedyPath:
 
     Until it is built, candidate i is ``pending`` and ``bounds[i]`` bounds
     its score: ``||r on U_i||^2 * (1 + _BOUND_SLACK_REL * n)``, with r the
-    residual of `v`. U_i, row i of ``support``, starts as the states i
-    reaches and takes in, in pick order, the support of each pick's new
-    state directions that meets it, so i's residual closure is exactly
-    zero outside it. A weighted path bounds every score by
+    residual of `v`. U_i, the row of i's group in ``support``, starts as
+    the states i reaches and takes in, in pick order, the support of each
+    pick's new state directions that meets it, so i's residual closure is
+    exactly zero outside it. The indices of a group reach the same states
+    (LtiSystem._reach_groups), so they share one row of ``support``, one
+    row sum in `_bound` and one flag in each ``meets``; ``group[i]`` is
+    i's group. A weighted path bounds every score by
     ``||r||^2 * (1 + _BOUND_SLACK_REL * n)``. ``blocks`` keeps each pick's
-    new state directions, the rows of ``support`` they met and the
-    residual of `v` then: a candidate built late replays the ones that met
-    its row in order, and so holds the basis and score it would hold had
-    it been built at the start. Scores are -inf for candidates pending or
-    gone.
+    new state directions, the groups they met and the residual of `v`
+    then: a candidate built late replays the ones that met its group in
+    order, and so holds the basis and score it would hold had it been
+    built at the start. Scores are -inf for candidates pending or gone.
+
+    The first pick's accumulator is the system's shared fold of it, which
+    is read-only; the second pick folds into one copy of it, and every
+    later pick into that copy in place (_ReachAccumulator.fold). A pick
+    that the fold rejects is rolled back (_ReachAccumulator.truncate).
 
     When the sequence cannot continue, ``stuck`` holds the message, with
     ``{eps!r}`` standing for the threshold of the query that meets it and
     ``{res!r}`` for the last residual.
     """
 
-    __slots__ = ("v", "band", "acc", "support", "pending", "bounds", "bases",
-                 "scores", "blocks", "r", "out", "fresh", "chosen", "residuals",
-                 "stuck")
+    __slots__ = ("v", "band", "acc", "group", "support", "pending", "bounds",
+                 "bases", "scores", "blocks", "r", "out", "fresh", "chosen",
+                 "residuals", "stuck")
 
     def __init__(self, sys: LtiSystem, v: np.ndarray):
         self.v = v
@@ -144,7 +154,8 @@ class _GreedyPath:
         self.chosen: list[int] = []
         self.residuals = [float(v @ v)]
         self.band = TIE_BAND_REL * sys.n * self.residuals[0]
-        self.support = sys._reach.copy()
+        self.group, rows = sys._reach_groups
+        self.support = rows.copy()
         self.pending = np.ones(sys.n, dtype=bool)
         self.scores = np.full(sys.n, -np.inf)
         self.bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -177,20 +188,21 @@ class _GreedyPath:
     def _bound(self) -> None:
         """Bound the score of every pending candidate by the residual r."""
         r2 = self.r * self.r
-        slack = 1.0 + _BOUND_SLACK_REL * self.support.shape[0]
+        n = self.group.shape[0]
+        slack = 1.0 + _BOUND_SLACK_REL * n
         if self.acc.out is None:
             # A row sum, not a product with BLAS, whose kernels may round
             # equal rows differently: equal supports keep equal bounds.
-            self.bounds = np.where(self.support, r2, 0.0).sum(axis=1) * slack
+            self.bounds = np.where(self.support, r2, 0.0).sum(axis=1)[self.group] * slack
         else:
-            self.bounds = np.full(self.support.shape[0], float(r2.sum()) * slack)
+            self.bounds = np.full(n, float(r2.sum()) * slack)
 
     def absorb_fresh(self) -> None:
         """Take the last pick's new state directions D out of every built
         residual closure that overlaps them, and rescore; a closure with
         every column absorbed leaves the candidates. A closure whose
-        tracked support misses D's is skipped without arithmetic. Then
-        update the tracked supports and the bounds."""
+        group's support misses D's is skipped without arithmetic. Then
+        update the supports and the bounds."""
         d, self.fresh = self.fresh, None
         if d is None:
             return
@@ -206,9 +218,11 @@ class _GreedyPath:
         meets = (self.support & hit).any(axis=1)
         self.support[meets] |= hit
         self.blocks.append((d, meets, r))
-        builder = _SpanBuilder.holding(d)
-        for i0 in [i0 for i0 in self.bases if meets[i0]]:
-            self._absorb(i0, d, builder, r)
+        touched = [i0 for i0 in self.bases if meets[self.group[i0]]]
+        if touched:
+            builder = _SpanBuilder.holding(d)
+            for i0 in touched:
+                self._absorb(i0, d, builder, r)
         if acc.out is not None:
             self.out = acc.out.copy()
             for i0, (z, _) in self.bases.items():
@@ -264,7 +278,7 @@ class _GreedyPath:
         elif not self.blocks:
             self.scores[i0] = sys._first_fold(i0)[1].project_norm_sq(self.v)
         for d, meets, r in self.blocks:
-            if meets[i0]:
+            if meets[self.group[i0]]:
                 self._absorb(i0, d, _SpanBuilder.holding(d), r)
                 if i0 not in self.bases:
                     return
@@ -292,14 +306,17 @@ class _GreedyPath:
         while True:
             top = float(scores.max(initial=0.0))
             value = np.where(pending, self.bounds, scores)
-            live = (value > 0.0) & (value >= top - self.band)
-            if not live.any():
-                return None
+            # Positive and within the band: at least top - band, and at
+            # least the smallest positive float, which only a positive
+            # value is.
+            live = value >= max(top - self.band, _TINY)
             p = int(live.argmax())
-            waiting = np.where(pending, self.bounds, -np.inf)
-            if not pending[p] and scores[p] >= max(top, waiting.max()) - self.band:
+            if not live[p]:
+                return None
+            waiting = self.bounds.max(where=pending, initial=-np.inf)
+            if not pending[p] and scores[p] >= max(top, waiting) - self.band:
                 return p
-            self._build(int(waiting.argmax()))
+            self._build(int((pending & (self.bounds == waiting)).argmax()))
 
 
 def _greedy_core(path: _GreedyPath, eps: float) -> None:
@@ -307,15 +324,17 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
 
     Each step picks the smallest index whose score is positive and within
     ``path.band`` of the largest score (see _GreedyPath.pick), and folds it
-    into a new accumulator (_ReachAccumulator.extended). The fold judges
+    into the path's accumulator (_ReachAccumulator.fold). The fold judges
     the pick: one that does not lower the residual leaves the candidates,
-    and the step picks again.
+    its fold is rolled back, and the step picks again.
     With no positive score left, the path records why in ``path.stuck``.
     """
     v = path.v
     res = path.residuals[-1]
     while res > eps:
         path.absorb_fresh()
+        acc = path.acc
+        mark = acc.mark()
         while True:
             pick = path.pick()
             if pick is None:
@@ -324,12 +343,14 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
                     "stuck at squared residual {res!r}"
                 )
                 return
-            trial = path.acc.extended(pick)
+            trial = acc.fold(pick)
             new_res = trial.residual_sq(v)
             path.drop(pick)
             if new_res < res:
                 break
-        path.fresh = trial.state.span(path.acc.state.rank)
+            if trial is acc:
+                acc.truncate(mark)
+        path.fresh = trial.state.span(mark[0])
         path.acc = trial
         path.chosen.append(pick)
         res = new_res

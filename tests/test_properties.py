@@ -1,15 +1,15 @@
 """Documented contracts as hypothesis properties, on the sparse,
-block-diagonal and triangular state matrices that the seeded corpora,
-dense Gaussian or Erdos-Renyi, do not produce. The examples are
-derandomized (see the profile in conftest.py), so every run draws the
-same ones."""
+block-diagonal (in order or with the states relabelled) and triangular
+state matrices that the seeded corpora, dense Gaussian or Erdos-Renyi, do
+not produce. The examples are derandomized (see the profile in
+conftest.py), so every run draws the same ones."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from minreach import LtiSystem, brute_force_opt, greedy_eps
+from minreach import LtiSystem, bisection_exact, brute_force_opt, greedy_eps
 from test_reachcore import fold_greedy
 
 #: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
@@ -24,13 +24,16 @@ ENTRIES = st.one_of(
 
 @st.composite
 def state_matrices(draw, max_n=6):
-    """A sparse, block-diagonal or lower-triangular A with n <= max_n."""
+    """A sparse, block-diagonal, permuted block-diagonal or lower-triangular
+    A with n <= max_n. A permuted one relabels the states of a block-diagonal
+    one, so the states of a block, and the indices that reach them, are not
+    contiguous."""
     n = draw(st.integers(1, max_n))
     a = draw(arrays(np.float64, (n, n), elements=ENTRIES))
-    kind = draw(st.sampled_from(["sparse", "blocks", "triangular"]))
+    kind = draw(st.sampled_from(["sparse", "blocks", "permuted", "triangular"]))
     if kind == "sparse":
         a *= draw(arrays(np.bool_, (n, n), elements=st.booleans()))
-    elif kind == "blocks":
+    elif kind in ("blocks", "permuted"):
         sizes = []
         while sum(sizes) < n:
             sizes.append(draw(st.integers(1, n - sum(sizes))))
@@ -40,6 +43,9 @@ def state_matrices(draw, max_n=6):
             mask[start : start + size, start : start + size] = True
             start += size
         a *= mask
+        if kind == "permuted":
+            perm = np.array(draw(st.permutations(range(n))))
+            a = a[np.ix_(perm, perm)]
     else:
         a = np.tril(a)
     return a
@@ -54,19 +60,53 @@ def problems(draw):
     return LtiSystem(a), v
 
 
-@given(problems(), st.sampled_from([0.5, 1e-6]))
-def test_greedy_is_the_fold_greedy(problem, rel):
-    # The package's greedy scores candidates by residual closures and
-    # bounds; the reference folds every candidate. Picks and residual
-    # traces agree to the bit, at a loose and a tight threshold.
-    sys_, v = problem
-    eps = rel * float(v @ v)
+@st.composite
+def selector_problems(draw):
+    """A system whose output weight selects some of its states (rows of the
+    identity, q <= n), and a target in the output space."""
+    a = draw(state_matrices())
+    n = a.shape[0]
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    v = draw(arrays(np.float64, len(rows), elements=ENTRIES).filter(lambda v: v.any()))
+    return LtiSystem(a, np.eye(n)[rows]), v
+
+
+def assert_greedy_is_the_fold_greedy(sys_, v, eps):
     picks, residuals, stuck = fold_greedy(sys_, v, eps)
     assert not stuck
     delta, trace = greedy_eps(sys_, v, eps)
     assert trace.chosen == tuple(i0 + 1 for i0 in picks)
     assert delta.indices == tuple(sorted(trace.chosen))
     assert trace.residuals == tuple(residuals)
+
+
+@given(problems(), st.sampled_from([0.5, 1e-6]))
+def test_greedy_is_the_fold_greedy(problem, rel):
+    # The package's greedy scores candidates by residual closures and
+    # bounds; the reference folds every candidate. Picks and residual
+    # traces agree to the bit, at a loose and a tight threshold.
+    sys_, v = problem
+    assert_greedy_is_the_fold_greedy(sys_, v, rel * float(v @ v))
+
+
+@given(selector_problems(), st.sampled_from([0.5, 1e-6]))
+def test_weighted_greedy_with_a_row_selector_is_the_fold_greedy(problem, rel):
+    sys_, v = problem
+    assert_greedy_is_the_fold_greedy(sys_, v, rel * float(v @ v))
+
+
+@given(problems())
+def test_the_same_call_twice_gives_the_same_result(problem):
+    # The second call reuses every table the first left on the system: the
+    # closures, the reach groups and the shared first folds.
+    sys_, v = problem
+    nv2 = float(v @ v)
+    for call in (
+        lambda: greedy_eps(sys_, v, 1e-6 * nv2),
+        lambda: bisection_exact(sys_, v, 1e-3 * nv2),
+        lambda: brute_force_opt(sys_, v, 1e-6 * nv2),
+    ):
+        assert repr(call()) == repr(call())
 
 
 @given(problems())

@@ -32,7 +32,7 @@ from minreach import (
 )
 from minreach import reachcore
 from minreach.numkit import _SpanBuilder
-from minreach.selector import _GreedyPath, _greedy_core
+from minreach.selector import _BOUND_SLACK_REL, _GreedyPath, _greedy_core
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
 
@@ -739,12 +739,12 @@ class TestCertifiedPicks:
             if d is not None:
                 hit = d.any(axis=1)
                 for i0, (z, _) in path.bases.items():
-                    if not (path.support[i0] & hit).any():
+                    if not (path.support[path.group[i0]] & hit).any():
                         assert not (d.T @ z).any()
                         checked.append(i0)
             absorb(path)
             for i0, (z, _) in path.bases.items():
-                assert not (z.any(axis=1) & ~path.support[i0]).any()
+                assert not (z.any(axis=1) & ~path.support[path.group[i0]]).any()
 
         monkeypatch.setattr(_GreedyPath, "absorb_fresh", checking)
         rng = np.random.default_rng(1013)
@@ -765,6 +765,162 @@ class TestCertifiedPicks:
             want = fold_greedy(sys_, v, 1e-12 * float(v @ v))
             assert (path.chosen, path.residuals, path.stuck is not None) == want
         assert len(checked) > 400
+
+
+def permuted(rng, a):
+    """`a` with its states relabelled by a random permutation, so that the
+    states of a block are not contiguous."""
+    perm = rng.permutation(a.shape[0])
+    return a[np.ix_(perm, perm)]
+
+
+class TestReachGroups:
+    """The greedy keeps one support row and one bound per group of indices
+    with equal reach rows. Every index's group row is the row that a
+    per-index table gives, and every bound that table's row sum, to the
+    bit."""
+
+    def systems(self):
+        rng = np.random.default_rng(1811)
+        for case in range(48):
+            n = int(rng.integers(2, 40))
+            kind = case % 4
+            if kind == 0:
+                a = permuted(rng, block_diagonal(rng, [1 + k % 5 for k in range(n // 3 + 1)]))
+            elif kind == 1:
+                a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+            elif kind == 2:
+                a = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+            else:
+                a = permuted(rng, block_diagonal(rng, [1 + k % 4 for k in range(n // 2 + 1)]))
+            m = a.shape[0]
+            if kind < 3:
+                yield LtiSystem(a)
+            elif case % 8 == 3:
+                yield LtiSystem(a, rng.standard_normal((int(rng.integers(1, m + 4)), m)))
+            else:
+                rows = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+                yield LtiSystem(a, np.eye(m)[rows])
+
+    def test_groups_are_the_distinct_reach_rows_in_order(self):
+        for sys_ in self.systems():
+            group, rows = sys_._reach_groups
+            assert np.array_equal(rows[group], sys_._reach)
+            assert len(rows) == len(set(sys_._reach_bits))
+            firsts = [int(np.flatnonzero(group == g)[0]) for g in range(len(rows))]
+            assert firsts == sorted(firsts)
+            assert sys_._reach_groups is sys_._reach_groups
+
+    def test_group_rows_and_bounds_are_the_per_index_ones(self, monkeypatch):
+        absorb = _GreedyPath.absorb_fresh
+        tables = {}
+
+        def check(path, table):
+            assert np.array_equal(path.support[path.group], table)
+            if path.acc.out is None:
+                r2 = path.r * path.r
+                slack = 1.0 + _BOUND_SLACK_REL * table.shape[0]
+                want = np.where(table, r2, 0.0).sum(axis=1) * slack
+                assert path.bounds.tobytes() == want.tobytes()
+
+        def checking(path):
+            # The rule of a support per index: every row that meets the new
+            # directions' support takes it in.
+            table = tables[path]
+            d = path.fresh
+            absorb(path)
+            if d is not None:
+                hit = d.any(axis=1)
+                table[(table & hit).any(axis=1)] |= hit
+            check(path, table)
+
+        monkeypatch.setattr(_GreedyPath, "absorb_fresh", checking)
+        rng = np.random.default_rng(1812)
+        picks = grouped = 0
+        for sys_ in self.systems():
+            v = rng.standard_normal(sys_.output_dim)
+            path = _GreedyPath(sys_, v)
+            tables[path] = sys_._reach.copy()
+            check(path, tables[path])
+            _greedy_core(path, 1e-12 * float(v @ v))
+            picks += len(path.chosen)
+            grouped += path.support.shape[0] < sys_.n
+        assert picks > 250 and grouped > 30
+
+
+class TestInPlaceFold:
+    """The greedy folds each pick into its own accumulator in place, and
+    rolls a rejected one back."""
+
+    def systems(self):
+        rng = np.random.default_rng(1823)
+        for sizes in ([3, 1, 4], [5, 2, 4, 3, 1, 6], [4, 9, 2, 5, 10, 3, 6]):
+            a = permuted(rng, block_diagonal(rng, sizes))
+            n = a.shape[0]
+            yield LtiSystem(a)
+            for q in (n // 2, n + 3):
+                yield LtiSystem(a, rng.standard_normal((q, n)))
+
+    def test_a_rolled_back_fold_leaves_the_accumulator_as_it_was(self):
+        rng = np.random.default_rng(1824)
+        grown = rolled = 0
+        for sys_ in self.systems():
+            n = sys_.n
+            for _ in range(20):
+                order = [int(i0) for i0 in rng.permutation(n)]
+                k = int(rng.integers(1, n))
+                acc = reachcore._ReachAccumulator(sys_).extended(order[0]).copy()
+                for i0 in order[1:k]:
+                    acc.include(i0)
+                # Indices that reach a state outside the accumulator's cover.
+                new = [i0 for i0 in order[k:] if sys_._reach_bits[i0] & ~acc.cover]
+                if len(new) < 2:
+                    continue
+                before = acc.copy()
+                buffer = acc.state._q
+                mark = acc.mark()
+                assert acc.fold(new[0]) is acc
+                assert acc.state.rank > before.state.rank
+                grown += acc.state._q is not buffer
+                acc.truncate(mark)
+                assert acc.mark() == before.mark() == mark
+                assert same_bits(acc.state, before.state) and same_bits(acc.out, before.out)
+                # It then folds what it would have folded without the trial.
+                acc.include(new[1])
+                before.include(new[1])
+                assert acc.mark() == before.mark()
+                assert same_bits(acc.state, before.state) and same_bits(acc.out, before.out)
+                rolled += 1
+        assert grown > 10 and rolled > 60
+
+    def test_a_rejected_pick_is_rolled_back(self, monkeypatch):
+        # The judge rejects the first trial (from the empty set), the second
+        # pick's trial (from the shared first fold) and two trials in a row
+        # in place; the path's accumulator is then the fold of its picks.
+        residual_sq = reachcore._ReachAccumulator.residual_sq
+        calls = []
+
+        def rejecting(acc, v):
+            calls.append(acc)
+            return math.inf if len(calls) in (1, 3, 6, 7) else residual_sq(acc, v)
+
+        monkeypatch.setattr(reachcore._ReachAccumulator, "residual_sq", rejecting)
+        rng = np.random.default_rng(1825)
+        for sys_ in self.systems():
+            if sys_.n < 10 or sys_.output_dim < sys_.n:
+                continue
+            v = rng.standard_normal(sys_.output_dim)
+            calls.clear()
+            path = _GreedyPath(sys_, v)
+            _greedy_core(path, 1e-12 * float(v @ v))
+            assert len(path.chosen) + 4 == len(calls) and len(path.chosen) > 4
+            assert len({id(acc) for acc in calls[4:]}) == 1
+            want = reachcore._ReachAccumulator(sys_).extended(path.chosen[0]).copy()
+            for i0 in path.chosen[1:]:
+                want.include(i0)
+            got = path.acc
+            assert got.mark() == want.mark()
+            assert same_bits(got.state, want.state) and same_bits(got.out, want.out)
 
 
 def uncapped_closure(a, i0):

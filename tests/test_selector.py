@@ -45,6 +45,7 @@ from minreach import (
 from minreach import reachcore
 from minreach.numkit import RANK_TOL, _SpanBuilder
 from minreach.reachcore import _ReachAccumulator
+from test_reachcore import block_diagonal, permuted
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
 
@@ -406,6 +407,20 @@ def counted_builds(monkeypatch):
     return built
 
 
+def ten_permuted_blocks(seed, weighted=False):
+    """A system of ten Gaussian 4-state blocks with its states relabelled,
+    and a target: each block needs its own actuator, so a greedy run to a
+    tight threshold takes ten picks. A weighted one has 43 output rows."""
+    rng = np.random.default_rng(seed)
+    a = permuted(rng, block_diagonal(rng, [4] * 10))
+    if not weighted:
+        return LtiSystem(a), rng.standard_normal(40)
+    # 43 output rows: no span of fewer than ten blocks fills the output
+    # space, and a target in W's range is reachable.
+    w = rng.standard_normal((43, 40))
+    return LtiSystem(a, w), w @ rng.standard_normal(40)
+
+
 @pytest.fixture
 def include_calls(monkeypatch):
     """The 0-based index of every _ReachAccumulator.include call made."""
@@ -472,6 +487,16 @@ class TestSharedClosureCache:
         is_controllable(sys_, delta)
         assert set(built) == by_greedy | {1, 4}
         assert len(set(built)) == len(built)
+
+    def test_a_permuted_block_path_builds_one_closure_per_pick(self, monkeypatch):
+        # Every index of a block reaches the whole block, so its group's
+        # bound is the residual's mass on the block, and the first closure
+        # built in the heaviest block certifies the pick.
+        built = counted_builds(monkeypatch)
+        sys_, v = ten_permuted_blocks(401)
+        _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
+        assert len(trace.chosen) == 10
+        assert built == [i - 1 for i in trace.chosen]
 
     @pytest.mark.parametrize("n", [25, 50, 100, 300])
     def test_exact_solve_on_erdos_renyi_builds_one_closure(self, monkeypatch, n):
@@ -599,6 +624,33 @@ class TestSharedFirstFolds:
                     with pytest.raises(ValueError):
                         shared._q[:, r - 1] = 0.0
 
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_path_copies_its_first_fold_once_and_leaves_it_sealed(
+        self, monkeypatch, weighted
+    ):
+        # The second pick folds into one copy of the shared first fold, and
+        # every later pick into that copy in place.
+        copies = []
+        copy = _ReachAccumulator.copy
+
+        def counting(acc):
+            copies.append(acc)
+            return copy(acc)
+
+        monkeypatch.setattr(_ReachAccumulator, "copy", counting)
+        sys_, v = ten_permuted_blocks(409, weighted)
+        _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
+        assert len(trace.chosen) == 10
+        first = trace.chosen[0] - 1
+        shared = sys_._first_folds[first]
+        assert len(copies) == 1 and (copies[0].state, copies[0].out) == shared
+        fresh = _ReachAccumulator(sys_)
+        fresh.include(first)
+        for fold, own in zip(shared, (fresh.state, fresh.out)):
+            if own is not None:
+                assert fold.sealed
+                assert (fold.rank, fold.span().tobytes()) == (own.rank, own.span().tobytes())
 
     def test_include_into_a_full_shared_fold_raises_without_growing(self):
         # Index 1's closure is a 7-state block, so its shared fold has rank
