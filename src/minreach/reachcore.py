@@ -117,9 +117,10 @@ class LtiSystem:
     def _first_fold(self, i0: int) -> tuple[_SpanBuilder, _SpanBuilder | None]:
         """The ``(state, out)`` builders that
         ``_ReachAccumulator(self).include(i0)`` leaves, made on first use.
-        Such a fold is the same whatever the target, so every greedy,
-        subset walk and set call on this system shares it. Its bases are
-        read-only, so a write into a shared fold raises."""
+        Such a fold is the same whatever the target, so every greedy path,
+        subset walk and set call on this system starts from it
+        (_ReachAccumulator.fold). Its builders are sealed: the next fold
+        copies them, and a write into them raises."""
         table = self._first_folds
         if i0 not in table:
             fold = _ReachAccumulator(self)
@@ -337,18 +338,17 @@ class _ReachAccumulator:
     projections and gains are measured in. Callers read a target's
     squared residual from `residual_sq`, and a fold's new directions as
     the columns it appended, ``output_builder.span(rank_before)``.
-    `extended` serves the exhaustive subset walk, which extends each
-    subset's prefix, and _accumulate; `fold` serves the greedy, which keeps
-    only the accumulator of its picks. A fold into the empty set comes from
-    the system's shared table and holds read-only builders: `include`
-    writes only into an accumulator that `copy` or the constructor made.
 
-    A fold made in place is undone by `truncate` to the `mark` taken before
-    it: each span rolls back to its rank then (_SpanBuilder.truncate), and
-    `cover` to its value. The columns the fold appended stay in the buffers
-    until a later `add` writes over them, and the columns kept are not
-    touched, so a rolled-back accumulator folds as it would have had the
-    fold never been made.
+    `fold` is the one way to grow the set, for the greedy's picks, the
+    exhaustive subset walk and _accumulate alike. A fold into the empty set
+    is the system's shared one, whose builders are read-only; the next
+    fold copies it once, and every later fold is made in place. A caller
+    that needs the accumulator as it was takes a `mark` before the fold and
+    undoes it with `truncate`: each span rolls back to its rank then
+    (_SpanBuilder.truncate), and `cover` to its value. The columns the fold
+    appended stay in the buffers until a later `add` writes over them, and
+    the columns kept are not touched, so a rolled-back accumulator folds as
+    it would have had the fold never been made.
 
     ``cover`` is the bitmask of the states the indices folded in reach, the
     OR of their `LtiSystem._reach_bits`. The state span is exactly zero
@@ -372,30 +372,22 @@ class _ReachAccumulator:
         other.cover = self.cover
         return other
 
-    def extended(self, i0: int) -> "_ReachAccumulator":
-        """A new accumulator equal to this one with the closure of 0-based
-        index `i0` folded in. From the empty set it wraps the system's
-        shared fold (see LtiSystem._first_fold)."""
-        if self.state.rank:
-            other = self.copy()
-            other.include(i0)
-            return other
-        other = _ReachAccumulator.__new__(_ReachAccumulator)
-        other.sys = self.sys
-        other.state, other.out = self.sys._first_fold(i0)
-        other.cover = self.sys._reach_bits[i0]
-        return other
-
     def fold(self, i0: int) -> "_ReachAccumulator":
-        """This accumulator with the closure of 0-based index `i0` folded
-        in, for a caller that keeps only the result: `extended` from the
-        empty set and from a shared fold, whose builders are read-only, so
-        that a path of picks makes one copy; otherwise this accumulator
-        itself, folded in place by `include`."""
-        if self.state.rank and not self.state.sealed:
-            self.include(i0)
-            return self
-        return self.extended(i0)
+        """The accumulator with the closure of 0-based index `i0` folded in.
+        From the empty set it is a new one around the system's shared fold
+        of i0, which is read-only (see LtiSystem._first_fold). From a
+        read-only one it is a copy, folded by `include`. Otherwise it is
+        this accumulator itself, folded in place; `truncate` to a `mark`
+        taken before undoes it."""
+        if not self.state.rank:
+            other = _ReachAccumulator.__new__(_ReachAccumulator)
+            other.sys = self.sys
+            other.state, other.out = self.sys._first_fold(i0)
+            other.cover = self.sys._reach_bits[i0]
+            return other
+        acc = self.copy() if self.state.sealed else self
+        acc.include(i0)
+        return acc
 
     def mark(self) -> tuple[int, int, int]:
         """The state rank, output rank and cover that `truncate` restores."""
@@ -445,21 +437,16 @@ class _ReachAccumulator:
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
     """The accumulator of `delta`, its indices folded in ascending order:
-    the shared fold of the smallest, then one copy that takes the rest.
-    A set over another dimension than `sys` raises DimensionError."""
+    the shared fold of the smallest, then one copy that takes the rest
+    (_ReachAccumulator.fold). A set over another dimension than `sys`
+    raises DimensionError."""
     if delta.n != sys.n:
         raise DimensionError(
             f"actuator set is over dimension {delta.n}, system has n={sys.n}"
         )
     acc = _ReachAccumulator(sys)
-    if not delta.indices:
-        return acc
-    first, *rest = delta.indices
-    acc = acc.extended(first - 1)
-    if rest:
-        acc = acc.copy()
-        for i in rest:
-            acc.include(i - 1)
+    for i in delta.indices:
+        acc = acc.fold(i - 1)
     return acc
 
 
@@ -555,15 +542,17 @@ def _subset_residuals(
 
     Subsets are walked depth first, each index included before it is
     skipped, so the subsets of each size come in lexicographic order. Each
-    subset is its prefix's accumulator extended by one index
-    (_ReachAccumulator.extended), so each is built at most once per walk,
-    and each single index at most once per system; a prefix with too few
-    indices left to reach `least` is not extended. The walk holds at most
-    two accumulators per level of depth. A closure is built when the walk
-    first folds its index. A fold stops once the subset's state span fills
-    the states its indices reach (see _ReachAccumulator.include), so a fold
-    that can add no rank makes no `add` call, and every residual keeps the
-    bits of the uncapped fold.
+    subset is its prefix's accumulator with one index folded in
+    (_ReachAccumulator.fold), so each is built at most once per walk, and
+    each single index at most once per system; a prefix with too few
+    indices left to reach `least` is not extended. A single index is the
+    system's shared fold and a two-index subset one copy of it. A deeper
+    subset is folded into its prefix's accumulator in place, which is
+    rolled back to its `mark` once the subset's subtree is walked. A
+    closure is built when the walk first folds its index. A fold stops
+    once the subset's state span fills the states its indices reach (see
+    _ReachAccumulator.include), so a fold that can add no rank makes no
+    `add` call, and every residual keeps the bits of the uncapped fold.
 
     Coverage rule, for a `limit` on an unweighted system: a subset is
     neither folded nor yielded, and nor is any subset below it, when the
@@ -583,15 +572,18 @@ def _subset_residuals(
     decision keeps its bits.
 
     Sharing rule: when extending a subset X of `size` indices by index i
-    leaves the state rank unchanged, the fold wrote nothing, so X + {i} has
-    X's accumulator to the bit, and its subtree (X + {i} extended by
-    indices above i) does the same arithmetic as X's continuation (X
-    extended by indices above i). That continuation is then walked once,
-    from X, and its ``(mask, residual)`` list yielded twice: first with bit
-    i set, then without, which is the order of the plain walk. It is shared
-    only where the pruning cannot tell the two subtrees apart, ``least <=
-    size`` and ``size + n - i <= k``: always in the full walk, never in a
-    walk for exactly k indices. An unchanged output rank is not enough: a
+    leaves the state rank unchanged, the fold changed nothing. It added no
+    column, and it did not grow the cover: its first column, e_i, lies
+    outside the span unless i is in the cover, and with i every state i
+    reaches. So X + {i} has X's accumulator to the bit, folded in place or
+    not, and its subtree (X + {i} extended by indices above i) does the
+    same arithmetic as X's continuation (X extended by indices above i).
+    That continuation is then walked once, from X, and its ``(mask,
+    residual)`` list yielded twice: first with bit i set, then without,
+    which is the order of the plain walk. It is shared only where the
+    pruning cannot tell the two subtrees apart, ``least <= size`` and
+    ``size + n - i <= k``: always in the full walk, never in a walk for
+    exactly k indices. An unchanged output rank is not enough: a
     weighted fold may grow the state span in a direction W kills, and the
     larger state span changes what later folds add.
     """
@@ -626,12 +618,9 @@ def _subset_residuals(
                     )
                 if outside[hull] > limit:
                     continue
-            child = acc.extended(i0)
-            if (
-                child.state.rank == acc.state.rank
-                and least <= size
-                and size + n - i0 <= k
-            ):
+            mark = acc.mark()
+            child = acc.fold(i0)
+            if child.state.rank == mark[0] and least <= size and size + n - i0 <= k:
                 rest = list(extensions(acc, mask, size, i0 + 1, res))
                 yield mask | bit, res
                 for sub_mask, sub_res in rest:
@@ -641,6 +630,8 @@ def _subset_residuals(
             child_res = child.residual_sq(v)
             yield mask | bit, child_res
             yield from extensions(child, mask | bit, size + 1, i0 + 1, child_res)
+            if child is acc:
+                acc.truncate(mark)
 
     yield 0, nv2
     yield from extensions(_ReachAccumulator(sys), 0, 0, 0, nv2)

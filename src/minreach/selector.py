@@ -135,9 +135,12 @@ class _GreedyPath:
     built at the start. Scores are -inf for candidates pending or gone.
 
     The first pick's accumulator is the system's shared fold of it, which
-    is read-only; the second pick folds into one copy of it, and every
-    later pick into that copy in place (_ReachAccumulator.fold). A pick
-    that the fold rejects is rolled back (_ReachAccumulator.truncate).
+    is read-only, and the path makes one copy of it: an unweighted path
+    when its second pick folds, a weighted one in the `absorb_fresh` after
+    its first pick, as `_fold_score` adds to the path's own output span.
+    Every later pick folds into that copy in place
+    (_ReachAccumulator.fold), and a pick that the fold rejects is rolled
+    back (_ReachAccumulator.truncate).
 
     When the sequence cannot continue, ``stuck`` holds the message, with
     ``{eps!r}`` standing for the threshold of the query that meets it and
@@ -145,7 +148,7 @@ class _GreedyPath:
     """
 
     __slots__ = ("v", "band", "acc", "group", "support", "pending", "bounds",
-                 "bases", "scores", "blocks", "r", "out", "fresh", "chosen",
+                 "bases", "scores", "blocks", "r", "fresh", "chosen",
                  "residuals", "stuck")
 
     def __init__(self, sys: LtiSystem, v: np.ndarray):
@@ -161,8 +164,6 @@ class _GreedyPath:
         self.bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.r = v
-        # A weighted path's output span, with room for one candidate's fold.
-        self.out: _SpanBuilder | None = None
         self.fresh: np.ndarray | None = None
         self.stuck: str | None = None
         self._bound()
@@ -224,7 +225,8 @@ class _GreedyPath:
             for i0 in touched:
                 self._absorb(i0, d, builder, r)
         if acc.out is not None:
-            self.out = acc.out.copy()
+            if acc.state.sealed:
+                self.acc = acc.copy()
             for i0, (z, _) in self.bases.items():
                 self.scores[i0] = self._fold_score(z)
         self._bound()
@@ -258,12 +260,15 @@ class _GreedyPath:
 
     def _fold_score(self, z: np.ndarray) -> float:
         """Gain for the residual of folding the W-image of `z` into the
-        output span reached so far."""
-        out, o = self.out, self.acc.out.rank
-        out.truncate(o)
+        output span reached so far. The columns are added to the path's own
+        output span, which is then rolled back to its rank before."""
+        out = self.acc.out
+        o = out.rank
         for col in (self.acc.sys.w @ z).T:
             out.add(col)
-        return _proj_sq(out.span(o), self.r)
+        gain = _proj_sq(out.span(o), self.r)
+        out.truncate(o)
+        return gain
 
     def _build(self, i0: int) -> None:
         """Make pending candidate i0's residual closure and score from its

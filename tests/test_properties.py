@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from minreach import LtiSystem, bisection_exact, brute_force_opt, greedy_eps
+from minreach import LtiSystem, bisection_exact, brute_force_opt, epsilon_a, greedy_eps
+from minreach.reachcore import _subset_residuals
 from test_reachcore import fold_greedy
+from test_selector import plain_walk
 
 #: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
 #: rank decision falls at the absolute tolerance and no squared norm
@@ -128,3 +130,33 @@ def test_brute_force_cardinality_ignores_state_labels(problem, data):
     eps = 1e-6 * float(v @ v)
     opt = brute_force_opt(sys_, v, eps)
     assert brute_force_opt(moved, v[perm], eps).cardinality == opt.cardinality
+
+
+@given(st.one_of(problems(), selector_problems()))
+def test_the_rolled_back_walk_is_the_plain_walk(problem):
+    # The walk folds each subset past two indices into its prefix's
+    # accumulator in place and rolls it back; the plain walk folds each one
+    # into a copy of its prefix's. Both yield the same pairs in the same
+    # order, to the bit, in the full walk and in the walk for each size.
+    sys_, v = problem
+    n = sys_.n
+    for k, least in [(n, 0)] + [(k, k) for k in range(n + 1)]:
+        got = list(_subset_residuals(sys_, v, k, least))
+        assert repr(got) == repr(list(plain_walk(sys_, v, k, least))), (k, least)
+
+
+@given(st.one_of(problems(), selector_problems()), st.sampled_from([0.5, 1e-6]))
+def test_a_search_that_stops_early_leaves_the_shared_folds_as_they_were(problem, rel):
+    # brute_force_opt drops its walk at the first hit, with the walk's own
+    # copy still folded. The shared first folds stay sealed, and a later
+    # epsilon_a on the system gives what it gives on a fresh twin.
+    sys_, v = problem
+    brute_force_opt(sys_, v, rel * float(v @ v))
+    twin = LtiSystem(sys_.a, sys_.w)
+    assert repr(epsilon_a(sys_, v)) == repr(epsilon_a(twin, v))
+    assert sys_._first_folds.keys() == twin._first_folds.keys()
+    for i0, folds in sys_._first_folds.items():
+        for fold, fresh in zip(folds, twin._first_folds[i0]):
+            if fold is not None:
+                assert fold.sealed
+                assert (fold.rank, fold.span().tobytes()) == (fresh.rank, fresh.span().tobytes())

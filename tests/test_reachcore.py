@@ -587,7 +587,7 @@ class TestBatchedClosuresAndExtensions:
             path = _GreedyPath(sys_, v)
             for i0 in range(sys_.n):
                 path._build(i0)
-                fold = reachcore._ReachAccumulator(sys_).extended(i0)
+                fold = reachcore._ReachAccumulator(sys_).fold(i0)
                 assert path.scores[i0] == fold.out.project_norm_sq(v)
 
     def test_residual_traces_match_the_fold_greedy_bit_for_bit(self):
@@ -869,7 +869,7 @@ class TestInPlaceFold:
             for _ in range(20):
                 order = [int(i0) for i0 in rng.permutation(n)]
                 k = int(rng.integers(1, n))
-                acc = reachcore._ReachAccumulator(sys_).extended(order[0]).copy()
+                acc = reachcore._ReachAccumulator(sys_).fold(order[0]).copy()
                 for i0 in order[1:k]:
                     acc.include(i0)
                 # Indices that reach a state outside the accumulator's cover.
@@ -915,7 +915,7 @@ class TestInPlaceFold:
             _greedy_core(path, 1e-12 * float(v @ v))
             assert len(path.chosen) + 4 == len(calls) and len(path.chosen) > 4
             assert len({id(acc) for acc in calls[4:]}) == 1
-            want = reachcore._ReachAccumulator(sys_).extended(path.chosen[0]).copy()
+            want = reachcore._ReachAccumulator(sys_).fold(path.chosen[0]).copy()
             for i0 in path.chosen[1:]:
                 want.include(i0)
             got = path.acc
@@ -1003,7 +1003,7 @@ class TestRankCaps:
                 order = [int(i0) for i0 in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
                 acc = reachcore._ReachAccumulator(sys_)
                 for i0 in order:
-                    acc = acc.extended(i0)
+                    acc = acc.fold(i0)
                 state, out, skipped = uncapped_fold(sys_, order)
                 assert same_bits(acc.state, state) and same_bits(acc.out, out)
                 absorbed += skipped

@@ -609,11 +609,11 @@ class TestSharedFirstFolds:
                     q = int(rng.integers(1, n + 3))
                     sys_ = LtiSystem(sys_.a, rng.standard_normal((q, n)))
             for i0 in range(n):
-                acc = _ReachAccumulator(sys_).extended(i0)
+                acc = _ReachAccumulator(sys_).fold(i0)
                 fresh = _ReachAccumulator(sys_)
                 fresh.include(i0)
                 assert sys_._first_folds[i0] == (acc.state, acc.out)
-                assert _ReachAccumulator(sys_).extended(i0).state is acc.state
+                assert _ReachAccumulator(sys_).fold(i0).state is acc.state
                 for shared, own in [(acc.state, fresh.state), (acc.out, fresh.out)]:
                     if own is None:
                         assert shared is None
@@ -652,6 +652,22 @@ class TestSharedFirstFolds:
                 assert fold.sealed
                 assert (fold.rank, fold.span().tobytes()) == (own.rank, own.span().tobytes())
 
+    def test_a_weighted_path_copies_only_its_accumulator_spans(self, monkeypatch):
+        # The state and output spans of its one accumulator copy: every
+        # fold score adds to the path's own output span and rolls it back.
+        copies = []
+        copy = _SpanBuilder.copy
+
+        def counting(builder):
+            copies.append(builder)
+            return copy(builder)
+
+        monkeypatch.setattr(_SpanBuilder, "copy", counting)
+        sys_, v = ten_permuted_blocks(409, True)
+        _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
+        assert len(trace.chosen) == 10
+        assert copies == list(sys_._first_folds[trace.chosen[0] - 1])
+
     def test_include_into_a_full_shared_fold_raises_without_growing(self):
         # Index 1's closure is a 7-state block, so its shared fold has rank
         # 7 in a buffer of 8 columns: the next accepted column would have
@@ -662,7 +678,7 @@ class TestSharedFirstFolds:
         a[7:, 7:] = rng.standard_normal((5, 5))
         for w in [None, np.eye(12)]:
             sys_ = LtiSystem(a, w)
-            acc = _ReachAccumulator(sys_).extended(0)
+            acc = _ReachAccumulator(sys_).fold(0)
             for fold in (acc.state, acc.out):
                 if fold is not None:
                     assert fold.rank + 1 == fold._q.shape[1] < fold.dim
@@ -678,7 +694,7 @@ class TestSharedFirstFolds:
         a[:7, :7] = rng.standard_normal((7, 7))
         a[7:, 7:] = rng.standard_normal((5, 5))
         for w in [None, rng.standard_normal((9, 12))]:
-            acc = _ReachAccumulator(LtiSystem(a, w)).extended(0)
+            acc = _ReachAccumulator(LtiSystem(a, w)).fold(0)
             for fold in (acc.state, acc.out):
                 if fold is None:
                     continue
@@ -1019,6 +1035,23 @@ class TestSharedSubsetWalk:
         assert math.isfinite(epsilon_a(sys_, v))
         assert len(include_calls) == expected
 
+    def test_epsilon_a_copies_once_per_two_index_subset(self, monkeypatch):
+        # A single index is a shared first fold, each two-index subset folds
+        # into one copy of it, and every deeper subset folds into that copy
+        # in place and is rolled back.
+        copies = []
+        copy = _ReachAccumulator.copy
+
+        def counting(acc):
+            copies.append(acc.state.sealed)
+            return copy(acc)
+
+        monkeypatch.setattr(_ReachAccumulator, "copy", counting)
+        sys_ = cycle_blocks(4, 4, 4)
+        v = np.random.default_rng(1733).standard_normal(sys_.n)
+        assert repr(epsilon_a(sys_, v)) == "6.136093866085446"
+        assert len(copies) == math.comb(sys_.n, 2) == 66 and all(copies)
+
     def test_epsilon_a_makes_no_add_that_is_absorbed(self, span_adds):
         # Every fold stops once its state span fills its subset's reach.
         sys_ = cycle_blocks(4, 4, 4)
@@ -1094,23 +1127,32 @@ def masked_er_system(rng, n):
 
 @pytest.fixture
 def built_masks(monkeypatch):
-    """The bitmask of every subset that _ReachAccumulator.extended builds,
-    in call order. An accumulator the walk did not build (its root) has
-    mask 0."""
+    """The bitmask of every subset that _ReachAccumulator.fold builds, in
+    call order. Each accumulator keeps a stack of the masks folded into it:
+    a fold pushes one, onto a new accumulator or in place, and `truncate`
+    pops one. An accumulator the walk did not build (its root) has mask 0.
+    For walks for one size, which share no subtree: a fold whose subtree
+    is shared changed nothing and is not rolled back."""
     masks = {}
     alive = []
     built = []
-    extended = _ReachAccumulator.extended
+    fold = _ReachAccumulator.fold
+    truncate = _ReachAccumulator.truncate
 
     def recording(acc, i0):
-        child = extended(acc, i0)
-        mask = masks.get(id(acc), 0) | 1 << i0
+        child = fold(acc, i0)
+        mask = masks.get(id(acc), [0])[-1] | 1 << i0
         alive.append(child)
-        masks[id(child)] = mask
+        masks.setdefault(id(child), []).append(mask)
         built.append(mask)
         return child
 
-    monkeypatch.setattr(_ReachAccumulator, "extended", recording)
+    def popping(acc, mark):
+        truncate(acc, mark)
+        masks[id(acc)].pop()
+
+    monkeypatch.setattr(_ReachAccumulator, "fold", recording)
+    monkeypatch.setattr(_ReachAccumulator, "truncate", popping)
     return built
 
 
