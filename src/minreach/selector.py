@@ -168,21 +168,26 @@ class _GreedyPath:
         self.stuck: str | None = None
         self._bound()
 
-    def prefix(self, eps: float) -> tuple[list[int], list[float]]:
+    def prefix(
+        self, eps: float, most: int | None = None
+    ) -> tuple[list[int], list[float]] | None:
         """Picks and residual trace of the greedy run with threshold `eps`.
 
-        Extends the path only when `eps` lies below its last residual.
-        Raises NumericalInfeasibilityError when the path is stuck above
-        `eps`.
+        Extends the path only when `eps` lies below its last residual, and
+        then to at most `most` picks (no limit when None); returns None
+        when the path stops there above `eps`. Raises
+        NumericalInfeasibilityError when the path is stuck above `eps`.
         """
         if self.residuals[-1] > eps:
             if self.stuck is None:
-                _greedy_core(self, eps)
+                _greedy_core(self, eps, most)
             if self.stuck is not None:
                 res = self.residuals[-1]
                 raise NumericalInfeasibilityError(
                     self.stuck.format(eps=eps, res=res), residual_sq=res
                 )
+            if self.residuals[-1] > eps:
+                return None
         k = next(k for k, res in enumerate(self.residuals) if res <= eps)
         return self.chosen[:k], self.residuals[: k + 1]
 
@@ -324,8 +329,9 @@ class _GreedyPath:
             self._build(int((pending & (self.bounds == waiting)).argmax()))
 
 
-def _greedy_core(path: _GreedyPath, eps: float) -> None:
-    """Extend `path` until its residual is at most `eps` or it is stuck.
+def _greedy_core(path: _GreedyPath, eps: float, most: int | None = None) -> None:
+    """Extend `path` until its residual is at most `eps`, it holds `most`
+    picks, or it is stuck.
 
     Each step picks the smallest index whose score is positive and within
     ``path.band`` of the largest score (see _GreedyPath.pick), and folds it
@@ -336,7 +342,7 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
     """
     v = path.v
     res = path.residuals[-1]
-    while res > eps:
+    while res > eps and (most is None or len(path.chosen) < most):
         path.absorb_fresh()
         acc = path.acc
         mark = acc.mark()
@@ -469,9 +475,19 @@ def subset_reach(
 ) -> tuple[ActuatorSet, int]:
     """Sparsest actuator set reaching some ball of a finite union.
 
-    Runs the greedy selection once per ball (center as target, squared
+    Takes the greedy selection for each ball (center as target, squared
     radius as threshold) and returns the smallest resulting set together
-    with the 1-based index of its ball; ties go to the smallest index.
+    with the 1-based index of its ball; ties go to the smallest index. A
+    ball whose greedy is stuck (NumericalInfeasibilityError) loses. When
+    every ball's greedy is stuck, the first ball's error is raised.
+
+    The balls are walked in order as a branch and bound. A later ball wins
+    only with strictly fewer picks than the best set so far, and its run is
+    a prefix of its greedy path, so the path stops after one pick fewer
+    than the best (_GreedyPath.prefix). After a best of one pick, a later
+    ball wins only when its center lies inside it, ``||c||^2 <= r^2``, and
+    no path is made; after an empty best, no later ball is looked at.
+
     Every ball's run shares the system's closures, so an index's closure
     is built at most once across all balls, and only when some run needs
     it. The runs also share each index's fold into the empty set (see
@@ -483,15 +499,30 @@ def subset_reach(
     balls = list(balls)
     if not balls:
         raise InputError("balls: must be non-empty")
+    centers = []
     for k, ball in enumerate(balls):
         if not isinstance(ball, Ball):
             raise InputError(f"balls[{k}]: expected a Ball")
-        _check_system_vector(sys, ball.center, f"balls[{k}]: center")
+        centers.append(_check_system_vector(sys, ball.center, f"balls[{k}]: center"))
     best: tuple[ActuatorSet, int] | None = None
-    for k, ball in enumerate(balls, start=1):
-        delta, _ = greedy_eps(sys, ball.center, ball.radius_sq)
-        if best is None or delta.cardinality < best[0].cardinality:
-            best = (delta, k)
+    first_error: NumericalInfeasibilityError | None = None
+    for k, (v, ball) in enumerate(zip(centers, balls), start=1):
+        most = None if best is None else best[0].cardinality - 1
+        if most == 0:
+            picks = [] if float(v @ v) <= ball.radius_sq else None
+        else:
+            try:
+                run = _GreedyPath(sys, v).prefix(ball.radius_sq, most)
+            except NumericalInfeasibilityError as exc:
+                first_error = first_error or exc
+                continue
+            picks = None if run is None else run[0]
+        if picks is not None:
+            best = (ActuatorSet(sys.n, (i0 + 1 for i0 in picks)), k)
+            if not picks:
+                break
+    if best is None:
+        raise first_error
     return best
 
 

@@ -15,8 +15,9 @@ import pytest
 
 import minreach
 from conftest import run_cli
-from minreach import cli, erdos_renyi
+from minreach import Ball, cli, erdos_renyi, greedy_eps
 from minreach.errors import NumericalInfeasibilityError
+from test_selector import stuck_union
 
 
 def write_json(path, payload):
@@ -30,6 +31,13 @@ def write_system(tmp_path, name, a, w=None):
     if w is not None:
         payload["w"] = np.asarray(w, dtype=float).tolist()
     return write_json(tmp_path / name, payload)
+
+
+def write_balls(tmp_path, balls):
+    return write_json(
+        tmp_path / "balls.json",
+        [{"center": ball.center.tolist(), "radius_sq": ball.radius_sq} for ball in balls],
+    )
 
 
 def diag_system(tmp_path):
@@ -326,6 +334,25 @@ class TestSubsetReach:
         code, out, _ = run_cli(["subset-reach", diag_system(tmp_path), balls])
         assert code == 0
         assert parse_report(out)["ball_index"] == 1
+
+    @pytest.mark.parametrize("stuck_first", [True, False])
+    def test_a_ball_the_greedy_cannot_reach_loses(self, tmp_path, stuck_first):
+        sys_, stuck, reachable = stuck_union()
+        system = write_system(tmp_path, "system.json", sys_.a, sys_.w)
+        balls = write_balls(tmp_path, [stuck, reachable] if stuck_first else [reachable, stuck])
+        code, out, err = run_cli(["subset-reach", system, balls])
+        assert (code, err) == (0, "")
+        report = parse_report(out)
+        assert report["actuators"] == [1, 3]
+        assert report["ball_index"] == (2 if stuck_first else 1)
+
+    def test_a_union_no_greedy_reaches_exits_3_with_the_first_balls_error(self, tmp_path):
+        sys_, stuck, _ = stuck_union()
+        system = write_system(tmp_path, "system.json", sys_.a, sys_.w)
+        balls = write_balls(tmp_path, [stuck, Ball(2.0 * stuck.center, stuck.radius_sq)])
+        with pytest.raises(NumericalInfeasibilityError) as first:
+            greedy_eps(sys_, stuck.center, stuck.radius_sq)
+        assert run_cli(["subset-reach", system, balls]) == (3, "", f"error: {first.value}\n")
 
     def test_malformed_balls(self, tmp_path):
         empty = write_json(tmp_path / "empty.json", [])

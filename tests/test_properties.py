@@ -5,14 +5,22 @@ not produce. The examples are derandomized (see the profile in
 conftest.py), so every run draws the same ones."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from minreach import LtiSystem, bisection_exact, brute_force_opt, epsilon_a, greedy_eps
+from minreach import (
+    Ball,
+    LtiSystem,
+    bisection_exact,
+    brute_force_opt,
+    epsilon_a,
+    greedy_eps,
+    subset_reach,
+)
 from minreach.reachcore import _subset_residuals
 from test_reachcore import fold_greedy
-from test_selector import plain_walk
+from test_selector import per_ball_subset_reach, plain_walk, union_outcome
 
 #: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
 #: rank decision falls at the absolute tolerance and no squared norm
@@ -73,6 +81,22 @@ def selector_problems(draw):
     return LtiSystem(a, np.eye(n)[rows]), v
 
 
+@st.composite
+def unions(draw):
+    """A system, unweighted or with a row selector W, and two to four balls
+    centered in its output space, each of squared radius 1e-6, 0.5 or 1.5
+    times the squared norm of its center."""
+    sys_, v = draw(st.one_of(problems(), selector_problems()))
+    centers = [v] + draw(st.lists(
+        arrays(np.float64, v.shape[0], elements=ENTRIES).filter(lambda c: c.any()),
+        min_size=1,
+        max_size=3,
+    ))
+    rels = draw(st.lists(st.sampled_from([1e-6, 0.5, 1.5]), min_size=len(centers),
+                         max_size=len(centers)))
+    return sys_, [Ball(c, rel * float(c @ c)) for c, rel in zip(centers, rels)]
+
+
 def assert_greedy_is_the_fold_greedy(sys_, v, eps):
     picks, residuals, stuck = fold_greedy(sys_, v, eps)
     assert not stuck
@@ -97,16 +121,28 @@ def test_weighted_greedy_with_a_row_selector_is_the_fold_greedy(problem, rel):
     assert_greedy_is_the_fold_greedy(sys_, v, rel * float(v @ v))
 
 
+@settings(max_examples=25)
+@given(unions())
+def test_subset_reach_is_the_per_ball_greedy(union):
+    # The branch and bound stops each ball's path once it cannot win; the
+    # reference runs every ball's greedy to its end on a fresh system.
+    sys_, balls = union
+    got = union_outcome(lambda: subset_reach(sys_, balls))
+    assert got == union_outcome(lambda: per_ball_subset_reach(sys_, balls))
+
+
 @given(problems())
 def test_the_same_call_twice_gives_the_same_result(problem):
     # The second call reuses every table the first left on the system: the
     # closures, the reach groups and the shared first folds.
     sys_, v = problem
     nv2 = float(v @ v)
+    balls = [Ball(v, 1e-6 * nv2), Ball(v[::-1], 0.5 * nv2)]
     for call in (
         lambda: greedy_eps(sys_, v, 1e-6 * nv2),
         lambda: bisection_exact(sys_, v, 1e-3 * nv2),
         lambda: brute_force_opt(sys_, v, 1e-6 * nv2),
+        lambda: subset_reach(sys_, balls),
     ):
         assert repr(call()) == repr(call())
 

@@ -42,7 +42,7 @@ from minreach import (
     subset_reach,
     transfer_vector,
 )
-from minreach import reachcore
+from minreach import reachcore, selector
 from minreach.numkit import RANK_TOL, _SpanBuilder
 from minreach.reachcore import _ReachAccumulator
 from test_reachcore import block_diagonal, permuted
@@ -380,6 +380,61 @@ class TestSubsetReach:
         with pytest.raises(InputError):
             subset_reach(DIAG12, [Ball(center=[1.0, 2.0, 3.0], radius_sq=1.0)])
 
+    @pytest.mark.parametrize("stuck_first", [True, False])
+    def test_a_ball_the_greedy_cannot_reach_loses(self, stuck_first):
+        sys_, stuck, reachable = stuck_union()
+        balls = [stuck, reachable] if stuck_first else [reachable, stuck]
+        want, _ = greedy_eps(sys_, reachable.center, reachable.radius_sq)
+        assert want.cardinality == 2
+        assert subset_reach(sys_, balls) == (want, 2 if stuck_first else 1)
+
+    def test_a_union_no_greedy_reaches_raises_the_first_balls_error(self):
+        sys_, stuck, _ = stuck_union()
+        balls = [stuck, Ball(2.0 * stuck.center, stuck.radius_sq)]
+        with pytest.raises(NumericalInfeasibilityError) as first:
+            greedy_eps(sys_, stuck.center, stuck.radius_sq)
+        with pytest.raises(NumericalInfeasibilityError) as got:
+            subset_reach(sys_, balls)
+        assert str(got.value) == str(first.value)
+        assert got.value.residual_sq == first.value.residual_sq
+
+    def test_balls_after_a_one_pick_best_make_no_greedy_run(self, greedy_runs):
+        # Only the empty set beats one pick, and it needs no run.
+        n = 40
+        rng = np.random.default_rng(197)
+        sys_ = LtiSystem(erdos_renyi(n, 2).a, rng.standard_normal((n // 2, n)))
+        balls = [Ball(sys_.w @ random_target(n, 20 + k), 0.05) for k in range(8)]
+        per_ball = [
+            greedy_eps(LtiSystem(sys_.a, sys_.w), ball.center, ball.radius_sq)[0]
+            for ball in balls
+        ]
+        assert [delta.cardinality for delta in per_ball] == [1] * 8
+        greedy_runs.clear()
+        assert subset_reach(sys_, balls) == (per_ball[0], 1)
+        assert len(greedy_runs) == 1
+
+    def test_each_path_stops_one_pick_short_of_the_best(self, greedy_runs):
+        # The centers touch 4, 6, 3, 5, 3 and 2 of six 4-state blocks, and
+        # each block needs its own pick. Ball 5 ties ball 3 and loses.
+        rng = np.random.default_rng(211)
+        sys_ = LtiSystem(block_diagonal(rng, [4] * 6))
+        balls = []
+        for count in (4, 6, 3, 5, 3, 2):
+            center = np.zeros(24)
+            center[: 4 * count] = rng.standard_normal(4 * count)
+            balls.append(Ball(center, 1e-9 * float(center @ center)))
+        need = [
+            greedy_eps(LtiSystem(sys_.a), ball.center, ball.radius_sq)[0].cardinality
+            for ball in balls
+        ]
+        assert need == [4, 6, 3, 5, 3, 2]
+        greedy_runs.clear()
+        delta, ball_index = subset_reach(sys_, balls)
+        assert (delta.cardinality, ball_index) == (2, 6)
+        assert len(greedy_runs) == len(balls)
+        for path, best in zip(greedy_runs[1:], itertools.accumulate(need, min)):
+            assert len(path.chosen) <= best - 1
+
     def test_reported_ball_is_reached(self):
         rng = np.random.default_rng(139)
         for _ in range(15):
@@ -392,6 +447,61 @@ class TestSubsetReach:
             delta, ball_index = subset_reach(sys_, balls)
             winner = balls[ball_index - 1]
             assert residual(sys_, delta, winner.center) <= winner.radius_sq
+
+
+def stuck_union():
+    """A system of a 2-state and a 1-state block with five output rows, a
+    ball centered off W's range, where every greedy gets stuck, and a
+    reachable ball that takes two picks, both of squared radius 1e-6."""
+    rng = np.random.default_rng(20)
+    a = rng.standard_normal((3, 3))
+    a[:2, 2] = a[2, :2] = 0.0
+    w = rng.standard_normal((5, 3))
+    q, _ = np.linalg.qr(w, mode="complete")
+    stuck = Ball(q[:, 3] + 0.5 * q[:, 4], 1e-6)
+    reachable = Ball(w @ rng.standard_normal(3), 1e-6)
+    return LtiSystem(a, w), stuck, reachable
+
+
+@pytest.fixture
+def greedy_runs(monkeypatch):
+    """The path of every _greedy_core run made from now on, in order."""
+    paths = []
+    core = selector._greedy_core
+
+    def recording(path, *args):
+        paths.append(path)
+        core(path, *args)
+
+    monkeypatch.setattr(selector, "_greedy_core", recording)
+    return paths
+
+
+def per_ball_subset_reach(sys_, balls):
+    """subset_reach by one greedy_eps per ball, each on a fresh twin of the
+    system: the smallest set wins, ties to the smallest index, and a ball
+    whose greedy raises is skipped. With no ball reached, the first ball's
+    error is raised."""
+    best, first_error = None, None
+    for k, ball in enumerate(balls, start=1):
+        try:
+            delta, _ = greedy_eps(LtiSystem(sys_.a, sys_.w), ball.center, ball.radius_sq)
+        except NumericalInfeasibilityError as exc:
+            first_error = first_error or exc
+            continue
+        if best is None or delta.cardinality < best[0].cardinality:
+            best = (delta, k)
+    if best is None:
+        raise first_error
+    return best
+
+
+def union_outcome(call):
+    try:
+        delta, ball_index = call()
+    except NumericalInfeasibilityError as exc:
+        return ("error", str(exc), exc.residual_sq)
+    return ("ok", delta, ball_index)
 
 
 def counted_builds(monkeypatch):
@@ -452,6 +562,35 @@ class TestSharedClosureCache:
             ]
             best = min(range(len(balls)), key=lambda j: per_ball[j].cardinality)
             assert (delta, ball_index) == (per_ball[best], best + 1)
+        # Block-diagonal systems whose balls take several picks (or none,
+        # when a ball holds the origin), each center negated into a second
+        # ball of the same cardinality, and, on weighted systems with more
+        # output rows than states, balls centered off W's range, where
+        # every greedy gets stuck; every sixth union has only those.
+        rng = np.random.default_rng(223)
+        seen = set()
+        for k in range(24):
+            sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(2, 6)))]
+            a = block_diagonal(rng, sizes)
+            n = a.shape[0]
+            w = rng.standard_normal((n + 2, n)) if k % 2 else None
+            sys_ = LtiSystem(a, w)
+            balls = []
+            for _ in range(int(rng.integers(1, 4)) * (k % 6 != 5)):
+                x = rng.standard_normal(n) * (rng.random(n) < 0.6)
+                center = x if w is None else w @ x
+                rel = float(rng.choice([1.5, 0.3, 1e-9, 1e-9]))
+                radius_sq = rel * float(center @ center) + 1e-12
+                balls += [Ball(center, radius_sq), Ball(-center, radius_sq)]
+            if w is not None:
+                q, _ = np.linalg.qr(w, mode="complete")
+                for _ in range(int(rng.integers(1, 3))):
+                    off = q[:, n:] @ rng.standard_normal(2)
+                    balls.insert(int(rng.integers(0, len(balls) + 1)), Ball(off, 1e-6))
+            got = union_outcome(lambda: subset_reach(sys_, balls))
+            assert got == union_outcome(lambda: per_ball_subset_reach(sys_, balls))
+            seen.add(got[0] if got[0] == "error" else min(got[1].cardinality, 2))
+        assert seen == {"error", 0, 1, 2}
 
     def test_subset_reach_builds_each_closure_at_most_once(self, monkeypatch):
         built = counted_builds(monkeypatch)
