@@ -168,26 +168,21 @@ class _GreedyPath:
         self.stuck: str | None = None
         self._bound()
 
-    def prefix(
-        self, eps: float, most: int | None = None
-    ) -> tuple[list[int], list[float]] | None:
+    def prefix(self, eps: float) -> tuple[list[int], list[float]]:
         """Picks and residual trace of the greedy run with threshold `eps`.
 
-        Extends the path only when `eps` lies below its last residual, and
-        then to at most `most` picks (no limit when None); returns None
-        when the path stops there above `eps`. Raises
-        NumericalInfeasibilityError when the path is stuck above `eps`.
+        Extends the path only when `eps` lies below its last residual.
+        Raises NumericalInfeasibilityError when the path is stuck above
+        `eps`.
         """
         if self.residuals[-1] > eps:
             if self.stuck is None:
-                _greedy_core(self, eps, most)
+                _greedy_core(self, eps)
             if self.stuck is not None:
                 res = self.residuals[-1]
                 raise NumericalInfeasibilityError(
                     self.stuck.format(eps=eps, res=res), residual_sq=res
                 )
-            if self.residuals[-1] > eps:
-                return None
         k = next(k for k, res in enumerate(self.residuals) if res <= eps)
         return self.chosen[:k], self.residuals[: k + 1]
 
@@ -329,9 +324,8 @@ class _GreedyPath:
             self._build(int((pending & (self.bounds == waiting)).argmax()))
 
 
-def _greedy_core(path: _GreedyPath, eps: float, most: int | None = None) -> None:
-    """Extend `path` until its residual is at most `eps`, it holds `most`
-    picks, or it is stuck.
+def _greedy_core(path: _GreedyPath, eps: float) -> None:
+    """Extend `path` until its residual is at most `eps` or it is stuck.
 
     Each step picks the smallest index whose score is positive and within
     ``path.band`` of the largest score (see _GreedyPath.pick), and folds it
@@ -342,7 +336,7 @@ def _greedy_core(path: _GreedyPath, eps: float, most: int | None = None) -> None
     """
     v = path.v
     res = path.residuals[-1]
-    while res > eps and (most is None or len(path.chosen) < most):
+    while res > eps:
         path.absorb_fresh()
         acc = path.acc
         mark = acc.mark()
@@ -481,12 +475,10 @@ def subset_reach(
     ball whose greedy is stuck (NumericalInfeasibilityError) loses. When
     every ball's greedy is stuck, the first ball's error is raised.
 
-    The balls are walked in order as a branch and bound. A later ball wins
-    only with strictly fewer picks than the best set so far, and its run is
-    a prefix of its greedy path, so the path stops after one pick fewer
-    than the best (_GreedyPath.prefix). After a best of one pick, a later
-    ball wins only when its center lies inside it, ``||c||^2 <= r^2``, and
-    no path is made; after an empty best, no later ball is looked at.
+    The balls are walked in order. A later ball wins only with strictly
+    fewer picks than the best set so far. So after a best of one pick, a
+    later ball wins only when its center lies inside it, ``||c||^2 <= r^2``,
+    and no path is made; after an empty best, no later ball is looked at.
 
     Every ball's run shares the system's closures, so an index's closure
     is built at most once across all balls, and only when some run needs
@@ -507,20 +499,21 @@ def subset_reach(
     best: tuple[ActuatorSet, int] | None = None
     first_error: NumericalInfeasibilityError | None = None
     for k, (v, ball) in enumerate(zip(centers, balls), start=1):
-        most = None if best is None else best[0].cardinality - 1
-        if most == 0:
-            picks = [] if float(v @ v) <= ball.radius_sq else None
+        if best is not None and best[0].cardinality == 1:
+            if float(v @ v) > ball.radius_sq:
+                continue
+            picks = []
         else:
             try:
-                run = _GreedyPath(sys, v).prefix(ball.radius_sq, most)
+                picks, _ = _GreedyPath(sys, v).prefix(ball.radius_sq)
             except NumericalInfeasibilityError as exc:
                 first_error = first_error or exc
                 continue
-            picks = None if run is None else run[0]
-        if picks is not None:
-            best = (ActuatorSet(sys.n, (i0 + 1 for i0 in picks)), k)
-            if not picks:
-                break
+            if best is not None and len(picks) >= best[0].cardinality:
+                continue
+        best = (ActuatorSet(sys.n, (i0 + 1 for i0 in picks)), k)
+        if not picks:
+            break
     if best is None:
         raise first_error
     return best

@@ -124,8 +124,8 @@ def test_weighted_greedy_with_a_row_selector_is_the_fold_greedy(problem, rel):
 @settings(max_examples=25)
 @given(unions())
 def test_subset_reach_is_the_per_ball_greedy(union):
-    # The branch and bound stops each ball's path once it cannot win; the
-    # reference runs every ball's greedy to its end on a fresh system.
+    # The walk skips the greedy of a ball that cannot beat a one-pick best;
+    # the reference runs every ball's greedy on a fresh system.
     sys_, balls = union
     got = union_outcome(lambda: subset_reach(sys_, balls))
     assert got == union_outcome(lambda: per_ball_subset_reach(sys_, balls))

@@ -413,27 +413,13 @@ class TestSubsetReach:
         assert subset_reach(sys_, balls) == (per_ball[0], 1)
         assert len(greedy_runs) == 1
 
-    def test_each_path_stops_one_pick_short_of_the_best(self, greedy_runs):
-        # The centers touch 4, 6, 3, 5, 3 and 2 of six 4-state blocks, and
-        # each block needs its own pick. Ball 5 ties ball 3 and loses.
-        rng = np.random.default_rng(211)
-        sys_ = LtiSystem(block_diagonal(rng, [4] * 6))
-        balls = []
-        for count in (4, 6, 3, 5, 3, 2):
-            center = np.zeros(24)
-            center[: 4 * count] = rng.standard_normal(4 * count)
-            balls.append(Ball(center, 1e-9 * float(center @ center)))
-        need = [
-            greedy_eps(LtiSystem(sys_.a), ball.center, ball.radius_sq)[0].cardinality
-            for ball in balls
-        ]
-        assert need == [4, 6, 3, 5, 3, 2]
-        greedy_runs.clear()
-        delta, ball_index = subset_reach(sys_, balls)
-        assert (delta.cardinality, ball_index) == (2, 6)
-        assert len(greedy_runs) == len(balls)
-        for path, best in zip(greedy_runs[1:], itertools.accumulate(need, min)):
-            assert len(path.chosen) <= best - 1
+    def test_no_ball_after_an_empty_best_is_looked_at(self, greedy_runs):
+        # Ball 2 holds the origin; ball 3 would need a run and ball 4 is stuck.
+        sys_, stuck, reachable = stuck_union()
+        holds_origin = Ball(reachable.center, 2.0 * float(reachable.center @ reachable.center))
+        balls = [reachable, holds_origin, reachable, stuck]
+        assert subset_reach(sys_, balls) == (ActuatorSet(sys_.n, []), 2)
+        assert len(greedy_runs) == 1
 
     def test_reported_ball_is_reached(self):
         rng = np.random.default_rng(139)
