@@ -107,27 +107,35 @@ class LtiSystem:
             table[i0] = _index_closure(self.a, i0, self._reach_bits[i0].bit_count())
         return table[i0]
 
+    def _full(self, i0: int) -> bool:
+        """Whether the closure of 0-based index `i0` is full: its rank is
+        ``|R(i0)|``, so it spans exactly the unit vectors e_j of the states
+        j that i0 reaches (see _closure). Builds the closure."""
+        return self._closure(i0).rank == self._reach_bits[i0].bit_count()
+
     @cached_property
-    def _first_folds(self) -> dict[int, tuple[_SpanBuilder, _SpanBuilder | None]]:
-        """The folds of one index into the empty set made so far, by 0-based
-        index (see _first_fold). Builders, not an accumulator, which refers
-        back to the system and would make a reference cycle."""
+    def _first_folds(self) -> dict[int, tuple[_SpanBuilder, _SpanBuilder]]:
+        """The folds of one index into the empty set made so far on a
+        weighted system, by 0-based index (see _first_fold). Builders, not an
+        accumulator, which refers back to the system and would make a
+        reference cycle."""
         return {}
 
-    def _first_fold(self, i0: int) -> tuple[_SpanBuilder, _SpanBuilder | None]:
+    def _first_fold(self, i0: int) -> tuple[_SpanBuilder, _SpanBuilder]:
         """The ``(state, out)`` builders that
-        ``_ReachAccumulator(self).include(i0)`` leaves, made on first use.
-        Such a fold is the same whatever the target, so every greedy path,
-        subset walk and set call on this system starts from it
-        (_ReachAccumulator.fold). Its builders are sealed: the next fold
-        copies them, and a write into them raises."""
+        ``_ReachAccumulator(self).include(i0)`` leaves on a weighted system,
+        made on first use. Such a fold is the same whatever the target, so
+        every greedy path, subset walk and set call on this system starts
+        from it (_ReachAccumulator.fold). Its builders are sealed: the next
+        fold copies them, and a write into them raises. An unweighted system
+        has none: its fold into the empty set is its cover alone when the
+        closure is full, and is made in place otherwise."""
         table = self._first_folds
         if i0 not in table:
             fold = _ReachAccumulator(self)
             fold.include(i0)
-            for builder in (fold.state, fold.out):
-                if builder is not None:
-                    builder.seal()
+            fold.state.seal()
+            fold.out.seal()
             table[i0] = (fold.state, fold.out)
         return table[i0]
 
@@ -173,8 +181,15 @@ class LtiSystem:
         support that meets them, so supports that start equal stay equal
         and a group never splits. Read-only."""
         ids: dict[int, int] = {}
-        group = np.array([ids.setdefault(bits, len(ids)) for bits in self._reach_bits])
-        rows = self._reach[np.unique(group, return_index=True)[1]]
+        firsts: list[int] = []
+        group = []
+        for i0, bits in enumerate(self._reach_bits):
+            if bits not in ids:
+                ids[bits] = len(firsts)
+                firsts.append(i0)
+            group.append(ids[bits])
+        group = np.array(group)
+        rows = self._reach[firsts]
         group.setflags(write=False)
         rows.setflags(write=False)
         return group, rows
@@ -330,30 +345,53 @@ def _index_closure(a: np.ndarray, i0: int, cap: int) -> _SpanBuilder:
     return builder
 
 
+def _bit_mask(bits: int, n: int) -> np.ndarray:
+    """Boolean vector of length `n` whose entry j is bit j of `bits`."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _unit_columns(bits: int, n: int) -> np.ndarray:
+    """The unit vectors e_j of the states j in bitmask `bits`, as the
+    columns of an ``(n, popcount)`` array in ascending state order."""
+    rows = np.flatnonzero(_bit_mask(bits, n))
+    cols = np.zeros((n, rows.size))
+    cols[rows, np.arange(rows.size)] = 1.0
+    return cols
+
+
 class _ReachAccumulator:
     """Incremental reachable subspace for a growing actuator set.
 
-    Maintains a state-space span (where invariance lives) and, when the
-    system carries an output weight, a parallel output-space span that
-    projections and gains are measured in. Callers read a target's
-    squared residual from `residual_sq`, and a fold's new directions as
-    the columns it appended, ``output_builder.span(rank_before)``.
+    ``cover`` is the bitmask of the states the indices folded in reach, the
+    OR of their `LtiSystem._reach_bits`. The state span is exactly zero
+    outside them, so its `rank` is at most ``cover.bit_count()``, and once
+    it has that rank it spans them.
+
+    On an unweighted system the accumulator starts basis-free, and stays so
+    while its rank is ``cover.bit_count()``: ``state`` holds no column, and
+    the span is span{e_j : j in cover}. The residual of a target is then
+    its mass outside the cover, and folding in a full closure
+    (LtiSystem._full), which spans the states its index reaches, only ORs
+    its reach row into the cover, with no `add` call. Folding in a closure
+    that is not full and reaches a state outside the cover first writes the
+    unit columns of the cover into ``state``, which spans the same space
+    exactly, and goes on with Gram-Schmidt, as every fold on a weighted
+    system does. A weighted accumulator keeps a state-space span (where
+    invariance lives) and a parallel output-space span that projections
+    and gains are measured in.
 
     `fold` is the one way to grow the set, for the greedy's picks, the
-    exhaustive subset walk and _accumulate alike. A fold into the empty set
-    is the system's shared one, whose builders are read-only; the next
-    fold copies it once, and every later fold is made in place. A caller
+    exhaustive subset walk and _accumulate alike. A weighted fold into the
+    empty set is the system's shared one, whose builders are read-only; the
+    next fold copies it once. Every other fold is made in place. A caller
     that needs the accumulator as it was takes a `mark` before the fold and
     undoes it with `truncate`: each span rolls back to its rank then
-    (_SpanBuilder.truncate), and `cover` to its value. The columns the fold
+    (_SpanBuilder.truncate), and `cover` to its value, so an accumulator
+    that left the basis-free state returns to it. The columns the fold
     appended stay in the buffers until a later `add` writes over them, and
     the columns kept are not touched, so a rolled-back accumulator folds as
     it would have had the fold never been made.
-
-    ``cover`` is the bitmask of the states the indices folded in reach, the
-    OR of their `LtiSystem._reach_bits`. The state span is exactly zero
-    outside them, so its rank is at most ``cover.bit_count()``, and once it
-    has that rank it spans them (see `include`).
     """
 
     __slots__ = ("sys", "state", "out", "cover")
@@ -372,14 +410,30 @@ class _ReachAccumulator:
         other.cover = self.cover
         return other
 
+    @property
+    def basis_free(self) -> bool:
+        """Whether the span is span{e_j : j in cover}, held by the cover
+        alone: an unweighted accumulator with no state column."""
+        return self.out is None and not self.state.rank
+
+    @property
+    def rank(self) -> int:
+        """Rank of the state span."""
+        return self.state.rank or self.cover.bit_count()
+
+    @property
+    def output_rank(self) -> int:
+        """Rank of the span that residuals are measured in."""
+        return self.rank if self.out is None else self.out.rank
+
     def fold(self, i0: int) -> "_ReachAccumulator":
         """The accumulator with the closure of 0-based index `i0` folded in.
-        From the empty set it is a new one around the system's shared fold
-        of i0, which is read-only (see LtiSystem._first_fold). From a
-        read-only one it is a copy, folded by `include`. Otherwise it is
-        this accumulator itself, folded in place; `truncate` to a `mark`
-        taken before undoes it."""
-        if not self.state.rank:
+        From the empty set on a weighted system it is a new one around the
+        system's shared fold of i0, which is read-only (see
+        LtiSystem._first_fold). From a read-only one it is a copy, folded by
+        `include`. Otherwise it is this accumulator itself, folded in place;
+        `truncate` to a `mark` taken before undoes it."""
+        if self.out is not None and not self.state.rank:
             other = _ReachAccumulator.__new__(_ReachAccumulator)
             other.sys = self.sys
             other.state, other.out = self.sys._first_fold(i0)
@@ -390,7 +444,8 @@ class _ReachAccumulator:
         return acc
 
     def mark(self) -> tuple[int, int, int]:
-        """The state rank, output rank and cover that `truncate` restores."""
+        """The state and output builders' ranks and the cover, which
+        `truncate` restores."""
         return self.state.rank, self.output_builder.rank, self.cover
 
     def truncate(self, mark: tuple[int, int, int]) -> None:
@@ -401,20 +456,31 @@ class _ReachAccumulator:
             self.out.truncate(out_rank)
 
     def include(self, i0: int) -> None:
-        """Fold in the closure of 0-based index `i0`, appending the state
-        directions it accepts to ``state`` and their W-images to ``out``.
+        """Fold in the closure of 0-based index `i0`: in a basis-free
+        accumulator, OR its reach row into the cover when the closure is
+        full; otherwise append the state directions it accepts to ``state``
+        and their W-images to ``out``.
 
         Two caps skip `add` calls that could only be absorbed, so every
         bit is kept. The fold stops once the state rank reaches
         ``cover.bit_count()``: the span is then every state the indices
         reach, and each closure column left lies in it, with a residual of
         rounding size after the re-orthogonalisation (see _index_closure).
-        And once the output span is the whole output space, a new state
-        direction's W-image is neither taken nor added.
+        So a basis-free accumulator that covers every state i0 reaches is
+        left as it is. And once the output span is the whole output space,
+        a new state direction's W-image is neither taken nor added.
         """
         sys = self.sys
+        bits = sys._reach_bits[i0]
+        if self.basis_free:
+            if not bits & ~self.cover:
+                return
+            if sys._full(i0):
+                self.cover |= bits
+                return
+            self.state = _SpanBuilder.holding(_unit_columns(self.cover, sys.n))
         src = sys._closure(i0)
-        self.cover |= sys._reach_bits[i0]
+        self.cover |= bits
         full = self.cover.bit_count()
         state, out, w = self.state, self.out, sys.w
         for k in range(src.rank):
@@ -429,17 +495,29 @@ class _ReachAccumulator:
         return self.state if self.out is None else self.out
 
     def residual_sq(self, v: np.ndarray) -> float:
-        """Squared distance from `v` to the output span: ``||v||^2`` less
-        the projection's squared norm clamped to ``[0, ||v||^2]``."""
+        """Squared distance from `v` to the output span. Basis-free, it is
+        the mass of `v` outside the cover, ``r @ r`` for `v` with the
+        cover's entries zeroed; otherwise ``||v||^2`` less the projection's
+        squared norm clamped to ``[0, ||v||^2]``."""
+        if self.basis_free:
+            r = np.where(_bit_mask(self.cover, v.shape[0]), 0.0, v)
+            return float(r @ r)
         nv2 = float(v @ v)
         return nv2 - min(max(self.output_builder.project_norm_sq(v), 0.0), nv2)
 
+    def basis(self) -> OrthoBasis:
+        """Orthonormal basis of the output span: when basis-free, the unit
+        vectors of the cover in ascending state order."""
+        if self.basis_free:
+            return OrthoBasis._trusted(self.sys.n, _unit_columns(self.cover, self.sys.n))
+        return self.output_builder.freeze()
+
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
-    """The accumulator of `delta`, its indices folded in ascending order:
-    the shared fold of the smallest, then one copy that takes the rest
-    (_ReachAccumulator.fold). A set over another dimension than `sys`
-    raises DimensionError."""
+    """The accumulator of `delta`, its indices folded in ascending order
+    (_ReachAccumulator.fold): on a weighted system the shared fold of the
+    smallest, then one copy that takes the rest. A set over another
+    dimension than `sys` raises DimensionError."""
     if delta.n != sys.n:
         raise DimensionError(
             f"actuator set is over dimension {delta.n}, system has n={sys.n}"
@@ -456,9 +534,11 @@ def reachable_subspace(sys: LtiSystem, delta: ActuatorSet) -> OrthoBasis:
     With an output weight the basis spans the W-image of the state-space
     reachable subspace and lives in the output space. The basis is
     deterministic for fixed inputs: indices are folded in ascending order
-    and each index's closure directions in their generation order.
+    and each index's closure directions in their generation order. On an
+    unweighted system whose folds all took full closures, it is the unit
+    vectors of the states the set reaches, in ascending state order.
     """
-    return _accumulate(sys, delta).output_builder.freeze()
+    return _accumulate(sys, delta).basis()
 
 
 def residual(sys: LtiSystem, delta: ActuatorSet, v) -> float:
@@ -484,7 +564,7 @@ def is_feasible(sys: LtiSystem, delta: ActuatorSet, v) -> FeasibilityReport:
     return FeasibilityReport(
         residual_sq=res,
         feasible=res <= EXACT_TOL * nv2,
-        basis_rank=acc.output_builder.rank,
+        basis_rank=acc.output_rank,
     )
 
 
@@ -502,7 +582,7 @@ def is_controllable(sys: LtiSystem, delta: ActuatorSet) -> bool:
         raise UnsupportedOperationError(
             "controllability is defined for the unweighted variant only"
         )
-    return _accumulate(sys, delta).state.rank == sys.n
+    return _accumulate(sys, delta).rank == sys.n
 
 
 def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
@@ -543,16 +623,18 @@ def _subset_residuals(
     Subsets are walked depth first, each index included before it is
     skipped, so the subsets of each size come in lexicographic order. Each
     subset is its prefix's accumulator with one index folded in
-    (_ReachAccumulator.fold), so each is built at most once per walk, and
-    each single index at most once per system; a prefix with too few
-    indices left to reach `least` is not extended. A single index is the
-    system's shared fold and a two-index subset one copy of it. A deeper
-    subset is folded into its prefix's accumulator in place, which is
+    (_ReachAccumulator.fold), so each is built at most once per walk; a
+    prefix with too few indices left to reach `least` is not extended. On
+    a weighted system a single index is the system's shared fold, made at
+    most once per system, and a two-index subset one copy of it. Every
+    other subset is folded into its prefix's accumulator in place, which is
     rolled back to its `mark` once the subset's subtree is walked. A
     closure is built when the walk first folds its index. A fold stops
     once the subset's state span fills the states its indices reach (see
     _ReachAccumulator.include), so a fold that can add no rank makes no
-    `add` call, and every residual keeps the bits of the uncapped fold.
+    `add` call. On an unweighted system a subset whose folds all took full
+    closures is basis-free, and its residual depends on its cover alone:
+    it is taken once per cover and walk.
 
     Coverage rule, for a `limit` on an unweighted system: a subset is
     neither folded nor yielded, and nor is any subset below it, when the
@@ -572,11 +654,12 @@ def _subset_residuals(
     decision keeps its bits.
 
     Sharing rule: when extending a subset X of `size` indices by index i
-    leaves the state rank unchanged, the fold changed nothing. It added no
-    column, and it did not grow the cover: its first column, e_i, lies
-    outside the span unless i is in the cover, and with i every state i
-    reaches. So X + {i} has X's accumulator to the bit, folded in place or
-    not, and its subtree (X + {i} extended by indices above i) does the
+    leaves the state rank (_ReachAccumulator.rank) unchanged, the fold
+    changed nothing. It added no column, and it did not grow the cover: its
+    first column, e_i, lies outside the span unless i is in the cover, and
+    with i every state i reaches; a basis-free X, whose rank is its cover's
+    popcount, is then left as it is. So X + {i} has X's accumulator to the
+    bit, folded in place or not, and its subtree (X + {i} extended by indices above i) does the
     same arithmetic as X's continuation (X extended by indices above i).
     That continuation is then walked once, from X, and its ``(mask,
     residual)`` list yielded twice: first with bit i set, then without,
@@ -600,6 +683,15 @@ def _subset_residuals(
         mass = (v * v).tolist()
         # The mass of v outside each hull met so far, by hull.
         outside: dict[int, float] = {}
+    # The residual of each basis-free subset's cover met so far, by cover.
+    by_cover: dict[int, float] = {}
+
+    def residual_sq(acc):
+        if not acc.basis_free:
+            return acc.residual_sq(v)
+        if acc.cover not in by_cover:
+            by_cover[acc.cover] = acc.residual_sq(v)
+        return by_cover[acc.cover]
 
     def extensions(acc, mask, size, start, res):
         # Every subset mask + T, T a non-empty set of indices >= start,
@@ -618,16 +710,16 @@ def _subset_residuals(
                     )
                 if outside[hull] > limit:
                     continue
-            mark = acc.mark()
+            rank, mark = acc.rank, acc.mark()
             child = acc.fold(i0)
-            if child.state.rank == mark[0] and least <= size and size + n - i0 <= k:
+            if child.rank == rank and least <= size and size + n - i0 <= k:
                 rest = list(extensions(acc, mask, size, i0 + 1, res))
                 yield mask | bit, res
                 for sub_mask, sub_res in rest:
                     yield sub_mask | bit, sub_res
                 yield from rest
                 return
-            child_res = child.residual_sq(v)
+            child_res = residual_sq(child)
             yield mask | bit, child_res
             yield from extensions(child, mask | bit, size + 1, i0 + 1, child_res)
             if child is acc:

@@ -29,6 +29,7 @@ from .reachcore import (
     _check_system_vector,
     _ReachAccumulator,
     _subset_residuals,
+    _unit_columns,
 )
 
 if TYPE_CHECKING:
@@ -106,50 +107,65 @@ class _GreedyPath:
     is; the threshold only decides where a run stops. Every greedy run for
     target `v` is therefore a prefix of one pick sequence, and this object
     holds the part computed so far: the accumulator, the 0-based picks and
-    the residual trace (position 0 is ``||v||^2``).
+    the residual trace (position 0 is ``||v||^2``). ``r`` is the residual
+    of `v` against the span reached so far.
 
     A candidate i is built only when a pick cannot be certified without
-    it. Built, it has a residual closure ``bases[i] = (z, s)``: an
-    orthonormal basis z of the part of i's closure outside the state span
-    reached so far, and the norm s[j] that closure column j keeps outside
-    it. ``scores[i]`` is the gain for `v` of folding i in. Bases start as
-    views of the system's closures. Before the first pick, an unweighted
-    score is the gain of i's closure, and a weighted one that of the
-    system's shared fold of i into the empty set (LtiSystem._first_fold),
-    the fold a trial of i takes. The last pick's new state directions wait
-    in ``fresh``.
-
-    Until it is built, candidate i is ``pending`` and ``bounds[i]`` bounds
-    its score: ``||r on U_i||^2 * (1 + _BOUND_SLACK_REL * n)``, with r the
-    residual of `v`. U_i, the row of i's group in ``support``, starts as
-    the states i reaches and takes in, in pick order, the support of each
-    pick's new state directions that meets it, so i's residual closure is
-    exactly zero outside it. The indices of a group reach the same states
+    it. Until it is built, candidate i is ``pending`` and ``bounds[i]``
+    bounds its score: ``||r on U_i||^2 * (1 + _BOUND_SLACK_REL * n)``.
+    U_i, the row of i's group in ``support``, starts as the states i
+    reaches and takes in, in pick order, the support of each pick's new
+    state directions that meets it, so i's residual closure is exactly
+    zero outside it. The indices of a group reach the same states
     (LtiSystem._reach_groups), so they share one row of ``support``, one
-    row sum in `_bound` and one flag in each ``meets``; ``group[i]`` is
-    i's group. A weighted path bounds every score by
-    ``||r||^2 * (1 + _BOUND_SLACK_REL * n)``. ``blocks`` keeps each pick's
-    new state directions, the groups they met and the residual of `v`
-    then: a candidate built late replays the ones that met its group in
-    order, and so holds the basis and score it would hold had it been
-    built at the start. Scores are -inf for candidates pending or gone.
+    row sum ``sums[i]`` of r^2 over it and one flag in each ``meets``;
+    ``group[i]`` is i's group. A weighted path bounds every score by
+    ``||r||^2 * (1 + _BOUND_SLACK_REL * n)``. ``scores[i]`` is the gain for
+    `v` of folding i in; scores are -inf for candidates pending or gone.
 
-    The first pick's accumulator is the system's shared fold of it, which
-    is read-only, and the path makes one copy of it: an unweighted path
-    when its second pick folds, a weighted one in the `absorb_fresh` after
-    its first pick, as `_fold_score` adds to the path's own output span.
-    Every later pick folds into that copy in place
-    (_ReachAccumulator.fold), and a pick that the fold rejects is rolled
-    back (_ReachAccumulator.truncate).
+    An unweighted path has two modes, those of its accumulator
+    (_ReachAccumulator.basis_free).
+
+    - Basis-free, the span reached is span{e_j : j in cover}, and ``r`` is
+      `v` with the cover's entries zeroed. A candidate whose closure is
+      full (LtiSystem._full) would add the unit vectors of the states it
+      reaches outside the cover, so its score is exactly ``sums[i]``, its
+      bound without the slack, and its pick certifies at once. Such a
+      candidate is marked in ``coord`` and needs no basis. The new state
+      directions of a pick, in ``fresh``, are the unit vectors of the
+      states it newly covers.
+    - Otherwise ``r`` is `v` less its projection on the output span, and
+      the new directions are the columns the pick's fold appended.
+
+    Every other built candidate has a residual closure ``bases[i] = (z,
+    s)``: an orthonormal basis z of the part of i's closure outside the
+    state span reached so far, and the norm s[j] that closure column j
+    keeps outside it. Bases start as views of the system's closures.
+    Before the first pick, an unweighted score is the gain of i's closure,
+    and a weighted one that of the system's shared fold of i into the
+    empty set (LtiSystem._first_fold), the fold a trial of i takes.
+    ``blocks`` keeps each pick's new state directions, the groups they
+    met and ``r`` then: a candidate built late replays the ones that met
+    its group in order, and so holds the basis and score it would hold had
+    it been built at the start. When a pick's fold leaves the basis-free
+    mode, which it never re-enters, each candidate in ``coord`` is built
+    again that way.
+
+    A weighted path's first pick's accumulator is the system's shared fold
+    of it, which is read-only, and the path makes one copy of it in the
+    `absorb_fresh` after its first pick, as `_fold_score` adds to the
+    path's own output span. Every other pick folds into the path's
+    accumulator in place (_ReachAccumulator.fold), and a pick that the fold
+    rejects is rolled back (_ReachAccumulator.truncate).
 
     When the sequence cannot continue, ``stuck`` holds the message, with
     ``{eps!r}`` standing for the threshold of the query that meets it and
     ``{res!r}`` for the last residual.
     """
 
-    __slots__ = ("v", "band", "acc", "group", "support", "pending", "bounds",
-                 "bases", "scores", "blocks", "r", "fresh", "chosen",
-                 "residuals", "stuck")
+    __slots__ = ("v", "band", "acc", "group", "support", "pending", "sums",
+                 "bounds", "coord", "bases", "scores", "blocks", "r", "fresh",
+                 "chosen", "residuals", "stuck")
 
     def __init__(self, sys: LtiSystem, v: np.ndarray):
         self.v = v
@@ -160,6 +176,7 @@ class _GreedyPath:
         self.group, rows = sys._reach_groups
         self.support = rows.copy()
         self.pending = np.ones(sys.n, dtype=bool)
+        self.coord = np.zeros(sys.n, dtype=bool)
         self.scores = np.full(sys.n, -np.inf)
         self.bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -187,14 +204,17 @@ class _GreedyPath:
         return self.chosen[:k], self.residuals[: k + 1]
 
     def _bound(self) -> None:
-        """Bound the score of every pending candidate by the residual r."""
+        """Bound the score of every pending candidate by the residual r,
+        and score the candidates in ``coord`` by their row sums."""
         r2 = self.r * self.r
         n = self.group.shape[0]
         slack = 1.0 + _BOUND_SLACK_REL * n
         if self.acc.out is None:
             # A row sum, not a product with BLAS, whose kernels may round
             # equal rows differently: equal supports keep equal bounds.
-            self.bounds = np.where(self.support, r2, 0.0).sum(axis=1)[self.group] * slack
+            self.sums = np.where(self.support, r2, 0.0).sum(axis=1)[self.group]
+            self.bounds = self.sums * slack
+            self.scores[self.coord] = self.sums[self.coord]
         else:
             self.bounds = np.full(n, float(r2.sum()) * slack)
 
@@ -202,8 +222,10 @@ class _GreedyPath:
         """Take the last pick's new state directions D out of every built
         residual closure that overlaps them, and rescore; a closure with
         every column absorbed leaves the candidates. A closure whose
-        group's support misses D's is skipped without arithmetic. Then
-        update the supports and the bounds."""
+        group's support misses D's is skipped without arithmetic. When the
+        pick left the basis-free mode, build each candidate in ``coord``
+        again. Then update the supports, the bounds and the scores in
+        ``coord``."""
         d, self.fresh = self.fresh, None
         if d is None:
             return
@@ -211,11 +233,16 @@ class _GreedyPath:
         # basis array of the accumulator it came from alive.
         d = d.copy()
         acc = self.acc
-        q = acc.output_builder.span()
-        # Renormalising a column that lost most of its norm magnifies its
-        # rounding in reached directions, which the residual of v is not in.
-        self.r = r = self.v - q @ (q.T @ self.v)
         hit = d.any(axis=1)
+        if acc.basis_free:
+            # D is the unit vectors of the states the pick newly covers.
+            self.r = r = np.where(hit, 0.0, self.r)
+        else:
+            q = acc.output_builder.span()
+            # Renormalising a column that lost most of its norm magnifies
+            # its rounding in reached directions, which the residual of v
+            # is not in.
+            self.r = r = self.v - q @ (q.T @ self.v)
         meets = (self.support & hit).any(axis=1)
         self.support[meets] |= hit
         self.blocks.append((d, meets, r))
@@ -229,6 +256,10 @@ class _GreedyPath:
                 self.acc = acc.copy()
             for i0, (z, _) in self.bases.items():
                 self.scores[i0] = self._fold_score(z)
+        if not acc.basis_free:
+            for i0 in np.flatnonzero(self.coord):
+                self.coord[i0] = False
+                self._build(int(i0))
         self._bound()
 
     def _absorb(
@@ -271,12 +302,18 @@ class _GreedyPath:
         return gain
 
     def _build(self, i0: int) -> None:
-        """Make pending candidate i0's residual closure and score from its
-        closure, or a weighted one's first score from its shared first
-        fold, replaying every earlier pick's directions in order."""
+        """Make pending candidate i0's score: on a basis-free path with a
+        full closure, its row sum; otherwise from its residual closure,
+        made from its closure, or a weighted one's first score from its
+        shared first fold, replaying every earlier pick's directions in
+        order."""
         sys = self.acc.sys
         closure = sys._closure(i0)
         self.pending[i0] = False
+        if self.acc.basis_free and sys._full(i0):
+            self.coord[i0] = True
+            self.scores[i0] = self.sums[i0]
+            return
         self.bases[i0] = (closure.span(), np.ones(closure.rank))
         if self.acc.out is None:
             self.scores[i0] = closure.project_norm_sq(self.v)
@@ -292,7 +329,8 @@ class _GreedyPath:
 
     def drop(self, i0: int) -> None:
         """Remove built candidate i0."""
-        del self.bases[i0]
+        self.bases.pop(i0, None)
+        self.coord[i0] = False
         self.scores[i0] = -np.inf
 
     def pick(self) -> int | None:
@@ -339,7 +377,7 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
     while res > eps:
         path.absorb_fresh()
         acc = path.acc
-        mark = acc.mark()
+        rank, mark = acc.rank, acc.mark()
         while True:
             pick = path.pick()
             if pick is None:
@@ -355,7 +393,10 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
                 break
             if trial is acc:
                 acc.truncate(mark)
-        path.fresh = trial.state.span(mark[0])
+        if trial.basis_free:
+            path.fresh = _unit_columns(trial.cover & ~mark[2], trial.sys.n)
+        else:
+            path.fresh = trial.state.span(rank)
         path.acc = trial
         path.chosen.append(pick)
         res = new_res
@@ -473,7 +514,9 @@ def subset_reach(
     radius as threshold) and returns the smallest resulting set together
     with the 1-based index of its ball; ties go to the smallest index. A
     ball whose greedy is stuck (NumericalInfeasibilityError) loses. When
-    every ball's greedy is stuck, the first ball's error is raised.
+    every ball's greedy is stuck, NumericalInfeasibilityError is raised
+    with the number of balls tried, the first ball's message and its
+    ``residual_sq``.
 
     The balls are walked in order. A later ball wins only with strictly
     fewer picks than the best set so far. So after a best of one pick, a
@@ -482,11 +525,11 @@ def subset_reach(
 
     Every ball's run shares the system's closures, so an index's closure
     is built at most once across all balls, and only when some run needs
-    it. The runs also share each index's fold into the empty set (see
-    LtiSystem._first_fold), as does a later set call on the system. That
-    fold judges a first pick, and on a weighted system it also gives the
-    candidate's score before the first pick; an unweighted score then
-    comes from the closure itself.
+    it. On a weighted system the runs also share each index's fold into
+    the empty set (see LtiSystem._first_fold), as does a later set call on
+    the system: it judges a first pick and gives the candidate's score
+    before the first pick. On an unweighted system each path makes its own
+    first fold, which for a full closure is the index's cover alone.
     """
     balls = list(balls)
     if not balls:
@@ -515,7 +558,10 @@ def subset_reach(
         if not picks:
             break
     if best is None:
-        raise first_error
+        raise NumericalInfeasibilityError(
+            f"no ball is reached ({len(balls)} tried); ball 1: {first_error}",
+            residual_sq=first_error.residual_sq,
+        )
     return best
 
 

@@ -352,7 +352,22 @@ class TestSubsetReach:
         balls = write_balls(tmp_path, [stuck, Ball(2.0 * stuck.center, stuck.radius_sq)])
         with pytest.raises(NumericalInfeasibilityError) as first:
             greedy_eps(sys_, stuck.center, stuck.radius_sq)
-        assert run_cli(["subset-reach", system, balls]) == (3, "", f"error: {first.value}\n")
+        err = f"error: no ball is reached (2 tried); ball 1: {first.value}\n"
+        assert run_cli(["subset-reach", system, balls]) == (3, "", err)
+
+    def test_a_single_stuck_ball_names_the_one_ball_tried(self, tmp_path):
+        # The reproducer of a stuck union from the README: one state, and an
+        # output row W kills.
+        system = write_json(
+            tmp_path / "sys.json", {"n": 1, "a": [[0.0]], "w": [[1.0], [0.0]]}
+        )
+        balls = write_json(tmp_path / "balls.json", [{"center": [0.0, 1.0], "radius_sq": 1e-6}])
+        assert run_cli(["subset-reach", system, balls]) == (
+            3,
+            "",
+            "error: no ball is reached (1 tried); ball 1: no candidate reduces the "
+            "residual below 1e-06; stuck at squared residual 1.0\n",
+        )
 
     def test_malformed_balls(self, tmp_path):
         empty = write_json(tmp_path / "empty.json", [])

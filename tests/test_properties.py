@@ -1,21 +1,29 @@
 """Documented contracts as hypothesis properties, on the sparse,
-block-diagonal (in order or with the states relabelled) and triangular
-state matrices that the seeded corpora, dense Gaussian or Erdos-Renyi, do
-not produce. The examples are derandomized (see the profile in
-conftest.py), so every run draws the same ones."""
+block-diagonal (in order or with the states relabelled), triangular, zero
+and star-like state matrices that the seeded corpora, dense Gaussian or
+Erdos-Renyi, do not produce. The examples are derandomized (see the
+profile in conftest.py), so every run draws the same ones."""
+
+import math
+from collections import deque
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import lstsq_residual_sq
 from minreach import (
+    EXACT_TOL,
+    ActuatorSet,
     Ball,
     LtiSystem,
     bisection_exact,
     brute_force_opt,
     epsilon_a,
     greedy_eps,
+    is_feasible,
+    residual,
     subset_reach,
 )
 from minreach.reachcore import _subset_residuals
@@ -25,23 +33,38 @@ from test_selector import per_ball_subset_reach, plain_walk, union_outcome
 #: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
 #: rank decision falls at the absolute tolerance and no squared norm
 #: underflows.
-ENTRIES = st.one_of(
-    st.just(0.0),
-    st.floats(0.125, 2.0),
-    st.floats(-2.0, -0.125),
-)
+NONZERO = st.one_of(st.floats(0.125, 2.0), st.floats(-2.0, -0.125))
+ENTRIES = st.one_of(st.just(0.0), NONZERO)
+
+
+#: The kinds of A that state_matrices draws.
+KINDS = ("sparse", "blocks", "permuted", "triangular", "zero", "star")
 
 
 @st.composite
-def state_matrices(draw, max_n=6):
-    """A sparse, block-diagonal, permuted block-diagonal or lower-triangular
-    A with n <= max_n. A permuted one relabels the states of a block-diagonal
-    one, so the states of a block, and the indices that reach them, are not
-    contiguous."""
+def state_matrices(draw, max_n=6, kinds=KINDS):
+    """A sparse, block-diagonal, permuted block-diagonal, lower-triangular,
+    zero or star-like A with n <= max_n. A permuted one relabels the states
+    of a block-diagonal one, so the states of a block, and the indices that
+    reach them, are not contiguous. A star-like one has a hub that drives
+    every other state, its leaves, with one weight, and one diagonal entry
+    on every leaf, with the states relabelled: the leaves share an
+    eigenvalue, so with two leaves or more the hub's closure, the span of
+    e_hub and the sum of the leaves, is not full. Each index of a zero A
+    reaches itself alone, so every closure of it is full."""
     n = draw(st.integers(1, max_n))
     a = draw(arrays(np.float64, (n, n), elements=ENTRIES))
-    kind = draw(st.sampled_from(["sparse", "blocks", "permuted", "triangular"]))
-    if kind == "sparse":
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        a = np.zeros((n, n))
+    elif kind == "star":
+        hub = a[0, 0]
+        a = np.diag(np.full(n, draw(ENTRIES)))
+        a[0, 0] = hub
+        a[1:, 0] = draw(NONZERO)
+        perm = np.array(draw(st.permutations(range(n))))
+        a = a[np.ix_(perm, perm)]
+    elif kind == "sparse":
         a *= draw(arrays(np.bool_, (n, n), elements=st.booleans()))
     elif kind in ("blocks", "permuted"):
         sizes = []
@@ -62,19 +85,19 @@ def state_matrices(draw, max_n=6):
 
 
 @st.composite
-def problems(draw):
+def problems(draw, kinds=KINDS):
     """A system and a non-zero target, some of whose entries are zero."""
-    a = draw(state_matrices())
+    a = draw(state_matrices(kinds=kinds))
     n = a.shape[0]
     v = draw(arrays(np.float64, n, elements=ENTRIES).filter(lambda v: v.any()))
     return LtiSystem(a), v
 
 
 @st.composite
-def selector_problems(draw):
+def selector_problems(draw, kinds=KINDS):
     """A system whose output weight selects some of its states (rows of the
     identity, q <= n), and a target in the output space."""
-    a = draw(state_matrices())
+    a = draw(state_matrices(kinds=kinds))
     n = a.shape[0]
     rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     v = draw(arrays(np.float64, len(rows), elements=ENTRIES).filter(lambda v: v.any()))
@@ -111,6 +134,15 @@ def test_greedy_is_the_fold_greedy(problem, rel):
     # The package's greedy scores candidates by residual closures and
     # bounds; the reference folds every candidate. Picks and residual
     # traces agree to the bit, at a loose and a tight threshold.
+    sys_, v = problem
+    assert_greedy_is_the_fold_greedy(sys_, v, rel * float(v @ v))
+
+
+@given(problems(kinds=("zero", "star")), st.sampled_from([0.5, 1e-6]))
+def test_greedy_is_the_fold_greedy_on_zero_and_star_matrices(problem, rel):
+    # A star's hub closure is not full: a path that picks it leaves the
+    # basis-free mode, and the candidates it scored by coverage are built
+    # again from their closures.
     sys_, v = problem
     assert_greedy_is_the_fold_greedy(sys_, v, rel * float(v @ v))
 
@@ -168,17 +200,28 @@ def test_brute_force_cardinality_ignores_state_labels(problem, data):
     assert brute_force_opt(moved, v[perm], eps).cardinality == opt.cardinality
 
 
-@given(st.one_of(problems(), selector_problems()))
-def test_the_rolled_back_walk_is_the_plain_walk(problem):
-    # The walk folds each subset past two indices into its prefix's
-    # accumulator in place and rolls it back; the plain walk folds each one
-    # into a copy of its prefix's. Both yield the same pairs in the same
-    # order, to the bit, in the full walk and in the walk for each size.
-    sys_, v = problem
+def assert_the_walk_is_the_plain_walk(sys_, v):
     n = sys_.n
     for k, least in [(n, 0)] + [(k, k) for k in range(n + 1)]:
         got = list(_subset_residuals(sys_, v, k, least))
         assert repr(got) == repr(list(plain_walk(sys_, v, k, least))), (k, least)
+
+
+@given(st.one_of(problems(), selector_problems()))
+def test_the_rolled_back_walk_is_the_plain_walk(problem):
+    # The walk folds each subset into its prefix's accumulator in place
+    # (past two indices on a weighted system) and rolls it back; the plain
+    # walk folds each one into a copy of its prefix's. Both yield the same
+    # pairs in the same order, to the bit, in the full walk and in the walk
+    # for each size.
+    assert_the_walk_is_the_plain_walk(*problem)
+
+
+@given(st.one_of(problems(kinds=("zero", "star")), selector_problems(kinds=("zero", "star"))))
+def test_the_rolled_back_walk_is_the_plain_walk_on_zero_and_star_matrices(problem):
+    # A subset with a star's hub leaves the basis-free mode, and rolling it
+    # back returns to it.
+    assert_the_walk_is_the_plain_walk(*problem)
 
 
 @given(st.one_of(problems(), selector_problems()), st.sampled_from([0.5, 1e-6]))
@@ -196,3 +239,46 @@ def test_a_search_that_stops_early_leaves_the_shared_folds_as_they_were(problem,
             if fold is not None:
                 assert fold.sealed
                 assert (fold.rank, fold.span().tobytes()) == (fresh.rank, fresh.span().tobytes())
+
+
+def reached(a, indices):
+    """Bitmask of the states that the 0-based `indices` reach in the digraph
+    of `a`, with an edge j -> k when ``a[k, j] != 0``, by breadth-first
+    search."""
+    seen = set(indices)
+    frontier = deque(indices)
+    while frontier:
+        j = frontier.popleft()
+        for k in np.flatnonzero(a[:, j] != 0.0):
+            if int(k) not in seen:
+                seen.add(int(k))
+                frontier.append(int(k))
+    return sum(1 << j for j in seen)
+
+
+@given(problems(), st.data())
+def test_a_set_of_full_closures_leaves_the_mass_outside_its_reach(problem, data):
+    # Each closure spans the unit vectors of the states its index reaches,
+    # so the residual is the mass of v outside their union, up to rounding.
+    sys_, v = problem
+    n = sys_.n
+    assume(all(sys_._full(i0) for i0 in range(n)))
+    indices = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    hull = reached(sys_.a, indices)
+    mass = math.fsum(float(v[j]) ** 2 for j in range(n) if not hull >> j & 1)
+    got = residual(sys_, ActuatorSet(n, [i0 + 1 for i0 in indices]), v)
+    assert abs(got - mass) <= n * math.ulp(float(v @ v))
+
+
+@given(st.one_of(problems(), selector_problems()), st.data())
+def test_the_feasibility_verdict_is_the_least_squares_one(problem, data):
+    # Outside the band around EXACT_TOL, where rounding could tip either
+    # verdict, the exact-feasibility test agrees with a least-squares fit
+    # on the raw Krylov columns.
+    sys_, v = problem
+    n = sys_.n
+    indices = data.draw(st.lists(st.integers(1, n), unique=True))
+    delta = ActuatorSet(n, indices)
+    rel = lstsq_residual_sq(sys_, delta, v) / float(v @ v)
+    assume(not 0.5 * EXACT_TOL <= rel <= 2.0 * EXACT_TOL)
+    assert is_feasible(sys_, delta, v).feasible == (rel <= EXACT_TOL)

@@ -2,8 +2,10 @@
 subspaces, feasibility, controllability, transfer vectors, and the
 exact one-step relaxation threshold."""
 
+import functools
 import math
 from collections import Counter, deque
+from operator import or_
 
 import numpy as np
 import pytest
@@ -464,17 +466,23 @@ def scalar_closure(a, i0):
 
 
 def scalar_best_extension(acc, indices, v, band=0.0):
-    """One copy and include per index, gains summed in Python floats.
-    Returns the first index whose gain is positive and within `band` of
-    the largest gain, with its trial, or (-1, None) when no gain is
-    positive."""
+    """One copy and include per index, gains summed in Python floats over
+    the new output directions: the unit vectors of the newly covered
+    states when the trial is basis-free. Returns the first index whose
+    gain is positive and within `band` of the largest gain, with its
+    trial, or (-1, None) when no gain is positive."""
     trials = {}
     for i0 in indices:
         trial = acc.copy()
-        start = trial.output_builder.rank
+        start = trial.output_rank
         trial.include(i0)
+        if trial.basis_free:
+            new = trial.cover & ~acc.cover
+            directions = np.eye(len(v))[[j for j in range(len(v)) if new >> j & 1]]
+        else:
+            directions = trial.output_builder.span(start).T
         gain = 0.0
-        for direction in trial.output_builder.span(start).T:
+        for direction in directions:
             dot = float(direction @ v)
             gain += dot * dot
         if gain > 0.0:
@@ -616,11 +624,19 @@ class TestBatchedClosuresAndExtensions:
         assert stuck >= 10
 
     def test_the_fold_judges_a_pick_that_cannot_lower_the_residual(self, monkeypatch):
-        # After axis 3 the residual is one ulp of ||v||^2. Axes 1 and 2 each
-        # score 6e-17, but folding either in leaves the projected norm at
-        # 1.0, so each is dropped in turn and the path is stuck.
-        sys_ = LtiSystem(np.diag([1.0, 2.0, 3.0]))
-        v = np.array([7.75e-9, 7.75e-9, 1.0])
+        # Hub 0 drives states 1 and 2 with equal weights, so its closure,
+        # span{e0, e1 + e2}, has rank 2 of the 3 states it reaches: it is
+        # not full, and its pick leaves the basis-free mode. It leaves
+        # (v1 e1 - v1 e2) / 2, far below one ulp of ||v||^2, and ||v||^2
+        # less the projected norm cannot show it. Axes 1 and 2 each score
+        # v1^2 / 2 > 0, but folding either in leaves the residual where it
+        # was, so each is dropped in turn and the path is stuck. The same on
+        # every OpenBLAS kernel of tools/kernel_suite.py.
+        a = np.zeros((3, 3))
+        a[1, 0] = a[2, 0] = 1.0
+        sys_ = LtiSystem(a)
+        assert [sys_._full(i0) for i0 in range(3)] == [False, True, True]
+        v = np.array([1.1, 1.2e-8, 0.0])
         folds = []
         include = reachcore._ReachAccumulator.include
 
@@ -630,9 +646,20 @@ class TestBatchedClosuresAndExtensions:
 
         monkeypatch.setattr(reachcore._ReachAccumulator, "include", recording)
         got = residual_closure_greedy(sys_, v, 1e-20)
-        assert folds == [2, 0, 1]
-        assert got == ([2], [1.0 + 2.0**-52, 2.0**-52], True)
+        assert folds == [0, 1, 2]
+        assert got[0] == [0] and got[1][0] == float(v @ v) and got[2]
         monkeypatch.undo()
+        assert got == fold_greedy(sys_, v, 1e-20)
+
+    def test_coordinate_residuals_are_the_mass_outside_the_cover(self):
+        # Every closure of diag(1, 2, 3) is full, so the path stays
+        # basis-free, and each residual is the mass of v outside the axes
+        # picked, with no projection to round it: the tiny axes are picked
+        # too, down to exactly 0.0.
+        sys_ = LtiSystem(np.diag([1.0, 2.0, 3.0]))
+        v = np.array([7.75e-9, 7.75e-9, 1.0])
+        got = residual_closure_greedy(sys_, v, 1e-20)
+        assert got == ([2, 0, 1], [float(v @ v), 2 * 7.75e-9**2, 7.75e-9**2, 0.0], False)
         assert got == fold_greedy(sys_, v, 1e-20)
 
 
@@ -756,15 +783,67 @@ class TestCertifiedPicks:
                 a = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
             else:
                 a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.15)
-            sys_ = LtiSystem(a)
-            v = rng.standard_normal(sys_.n)
-            path = _GreedyPath(sys_, v)
-            for i0 in range(sys_.n):
-                path._build(i0)
-            _greedy_core(path, 1e-12 * float(v @ v))
-            want = fold_greedy(sys_, v, 1e-12 * float(v @ v))
-            assert (path.chosen, path.residuals, path.stuck is not None) == want
+            v = rng.standard_normal(a.shape[0])
+            # An unweighted path keeps a basis only for a closure that is
+            # not full; the weighted twin, W = I, keeps one for every
+            # candidate and tracks the same supports.
+            for w in (None, np.eye(a.shape[0])):
+                sys_ = LtiSystem(a, w)
+                path = _GreedyPath(sys_, v)
+                for i0 in range(sys_.n):
+                    path._build(i0)
+                _greedy_core(path, 1e-12 * float(v @ v))
+                want = fold_greedy(sys_, v, 1e-12 * float(v @ v))
+                assert (path.chosen, path.residuals, path.stuck is not None) == want
         assert len(checked) > 400
+
+    def test_a_path_that_leaves_the_basis_free_mode_rebuilds_its_coverage_scores(self):
+        # Built at the start, each index of a block has a full closure and
+        # is scored by coverage. The hub's pick leaves the basis-free mode,
+        # and each is then built from its closure, replaying every pick, as
+        # a candidate built only after the pick is: same basis, same score.
+        rng = np.random.default_rng(1831)
+        rebuilt = 0
+        for size in (2, 3, 4, 5, 6):
+            hub, blocks = twin_blocks(rng, size), block_diagonal(rng, [3, 4])
+            m, n = hub.shape[0], hub.shape[0] + blocks.shape[0]
+            a = np.zeros((n, n))
+            a[:m, :m] = hub
+            a[m:, m:] = blocks
+            sys_ = LtiSystem(a)
+            # The last block carries too little of v to be picked, so its
+            # candidates are left when the path stops.
+            v = rng.standard_normal(n) * np.where(np.arange(n) < n - 4, 1.0, 1e-3)
+            eps = 1e-5 * float(v @ v)
+            early, late = _GreedyPath(sys_, v), _GreedyPath(sys_, v)
+            for i0 in range(sys_.n):
+                early._build(i0)
+            coord = set(np.flatnonzero(early.coord).tolist())
+            for path in (early, late):
+                _greedy_core(path, eps)
+                path.absorb_fresh()
+            assert early.chosen == late.chosen and m - 1 in early.chosen
+            assert not early.coord.any() and not late.coord.any()
+            for i0, (z, s) in early.bases.items():
+                if late.pending[i0]:
+                    late._build(i0)
+                want_z, want_s = late.bases[i0]
+                assert z.tobytes() == want_z.tobytes() and s.tobytes() == want_s.tobytes()
+                assert early.scores[i0] == late.scores[i0]
+                rebuilt += i0 in coord
+        assert rebuilt >= 5
+
+
+def twin_blocks(rng, size):
+    """Two copies of one Gaussian block of `size` states, and a last state,
+    the hub, that drives the first state of each copy with weight 1. The
+    hub's closure has rank size + 1 of the 2 size + 1 states it reaches,
+    so it is not full; every other closure is."""
+    n = 2 * size + 1
+    a = np.zeros((n, n))
+    a[:size, :size] = a[size:-1, size:-1] = rng.standard_normal((size, size))
+    a[0, -1] = a[size, -1] = 1.0
+    return a
 
 
 def permuted(rng, a):
@@ -810,6 +889,19 @@ class TestReachGroups:
             firsts = [int(np.flatnonzero(group == g)[0]) for g in range(len(rows))]
             assert firsts == sorted(firsts)
             assert sys_._reach_groups is sys_._reach_groups
+
+    def test_groups_are_the_unique_construction(self):
+        # The groups numbered by first occurrence, and their rows picked by
+        # np.unique's first indices, on the seeded systems and on digraphs
+        # from erdos_renyi.
+        systems = [*self.systems(), *(erdos_renyi(n, n + 7) for n in (5, 12, 40, 150))]
+        for sys_ in systems:
+            ids = {}
+            want = np.array([ids.setdefault(bits, len(ids)) for bits in sys_._reach_bits])
+            group, rows = sys_._reach_groups
+            assert np.array_equal(group, want)
+            assert np.array_equal(rows, sys_._reach[np.unique(want, return_index=True)[1]])
+            assert not group.flags.writeable and not rows.flags.writeable
 
     def test_group_rows_and_bounds_are_the_per_index_ones(self, monkeypatch):
         absorb = _GreedyPath.absorb_fresh
@@ -861,10 +953,24 @@ class TestInPlaceFold:
             for q in (n // 2, n + 3):
                 yield LtiSystem(a, rng.standard_normal((q, n)))
 
+    def hub_systems(self):
+        """Unweighted systems with a closure that is not full: a fold that
+        takes it leaves the basis-free mode, and later folds grow its state
+        buffer."""
+        rng = np.random.default_rng(1826)
+        for sizes in ([3, 1, 4], [5, 2, 4, 3, 1, 6], [4, 9, 2, 5, 10, 3, 6]):
+            blocks = block_diagonal(rng, sizes)
+            hub = twin_blocks(rng, 4)
+            m, n = blocks.shape[0], blocks.shape[0] + hub.shape[0]
+            a = np.zeros((n, n))
+            a[:m, :m] = blocks
+            a[m:, m:] = hub
+            yield LtiSystem(permuted(rng, a))
+
     def test_a_rolled_back_fold_leaves_the_accumulator_as_it_was(self):
         rng = np.random.default_rng(1824)
         grown = rolled = 0
-        for sys_ in self.systems():
+        for sys_ in [*self.systems(), *self.hub_systems()]:
             n = sys_.n
             for _ in range(20):
                 order = [int(i0) for i0 in rng.permutation(n)]
@@ -880,7 +986,7 @@ class TestInPlaceFold:
                 buffer = acc.state._q
                 mark = acc.mark()
                 assert acc.fold(new[0]) is acc
-                assert acc.state.rank > before.state.rank
+                assert acc.rank > before.rank
                 grown += acc.state._q is not buffer
                 acc.truncate(mark)
                 assert acc.mark() == before.mark() == mark
@@ -966,11 +1072,21 @@ def same_bits(x, y):
     )
 
 
+def spans_alike(acc, state):
+    """Whether the unweighted accumulator `acc` spans what the builder
+    `state` spans: the same rank, and orthogonal projectors equal within
+    1e-9 per entry."""
+    q, p = acc.basis().columns, state.span()
+    return q.shape == p.shape and np.allclose(q @ q.T, p @ p.T, rtol=0.0, atol=1e-9)
+
+
 class TestRankCaps:
     """A closure stops at the rank of its reach, a fold at the rank of its
     subset's reach, and an output span takes nothing once full. Each cap
-    skips only `add` calls that would be absorbed, so every span keeps the
-    bits of the uncapped sweep and fold."""
+    skips only `add` calls that would be absorbed, so every closure, and
+    every span on a weighted system, keeps the bits of the uncapped sweep
+    and fold. An unweighted fold, basis-free or begun from its cover's unit
+    vectors, spans what the uncapped fold spans."""
 
     def systems(self):
         rng = np.random.default_rng(4409)
@@ -988,24 +1104,31 @@ class TestRankCaps:
         absorbed = checked = 0
         for sys_ in self.systems():
             n = sys_.n
+            def kept(acc, state, out):
+                if sys_.w is None:
+                    return spans_alike(acc, state)
+                return same_bits(acc.state, state) and same_bits(acc.out, out)
+
             for i0 in range(n):
                 assert same_bits(sys_._closure(i0), uncapped_closure(sys_.a, i0))
                 state, out, skipped = uncapped_fold(sys_, [i0])
-                assert same_bits(sys_._first_fold(i0)[0], state)
-                assert same_bits(sys_._first_fold(i0)[1], out)
+                assert kept(reachcore._ReachAccumulator(sys_).fold(i0), state, out)
+                if sys_.w is not None:
+                    assert same_bits(sys_._first_fold(i0)[0], state)
+                    assert same_bits(sys_._first_fold(i0)[1], out)
                 absorbed += skipped
             for _ in range(12):
                 delta = random_actuators(rng, n)
                 acc = reachcore._accumulate(sys_, delta)
                 state, out, skipped = uncapped_fold(sys_, [i - 1 for i in delta.indices])
-                assert same_bits(acc.state, state) and same_bits(acc.out, out)
+                assert kept(acc, state, out)
                 absorbed += skipped
                 order = [int(i0) for i0 in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
                 acc = reachcore._ReachAccumulator(sys_)
                 for i0 in order:
                     acc = acc.fold(i0)
                 state, out, skipped = uncapped_fold(sys_, order)
-                assert same_bits(acc.state, state) and same_bits(acc.out, out)
+                assert kept(acc, state, out)
                 absorbed += skipped
                 checked += 2
         # The caps had absorbed offers to skip.
@@ -1039,8 +1162,26 @@ class TestSpanAddCounts:
         assert Counter(span_adds) == {(q, True): q, (n, True): n}
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_an_exact_solve_makes_two_adds_per_state(self, span_adds, seed):
-        # One closure of rank n and the first pick's fold of it.
+    def test_an_exact_solve_makes_one_add_per_state(self, span_adds, seed):
+        # One closure of rank n; it is full, so the first pick's fold is
+        # its cover, with no add.
         n = 50
         bisection_exact(erdos_renyi(n, seed), random_target(n, seed), 1.0)
-        assert Counter(span_adds) == {(n, True): 2 * n}
+        assert Counter(span_adds) == {(n, True): n}
+
+    def test_a_coordinate_fold_makes_no_add(self, span_adds):
+        # Every closure of a Gaussian block system is full, so every fold,
+        # in any order, only grows the cover.
+        rng = np.random.default_rng(4463)
+        sys_ = LtiSystem(permuted(rng, block_diagonal(rng, [3, 5, 1, 4, 2])))
+        n = sys_.n
+        assert all(sys_._full(i0) for i0 in range(n))
+        span_adds.clear()
+        for _ in range(20):
+            order = [int(i0) for i0 in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+            acc = reachcore._ReachAccumulator(sys_)
+            for i0 in order:
+                acc = acc.fold(i0)
+            assert acc.basis_free
+            assert acc.cover == functools.reduce(or_, (sys_._reach_bits[i0] for i0 in order))
+        assert span_adds == []

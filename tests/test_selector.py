@@ -389,13 +389,15 @@ class TestSubsetReach:
         assert subset_reach(sys_, balls) == (want, 2 if stuck_first else 1)
 
     def test_a_union_no_greedy_reaches_raises_the_first_balls_error(self):
+        # The message names how many balls were tried, then gives the
+        # first ball's error.
         sys_, stuck, _ = stuck_union()
         balls = [stuck, Ball(2.0 * stuck.center, stuck.radius_sq)]
         with pytest.raises(NumericalInfeasibilityError) as first:
             greedy_eps(sys_, stuck.center, stuck.radius_sq)
         with pytest.raises(NumericalInfeasibilityError) as got:
             subset_reach(sys_, balls)
-        assert str(got.value) == str(first.value)
+        assert str(got.value) == f"no ball is reached (2 tried); ball 1: {first.value}"
         assert got.value.residual_sq == first.value.residual_sq
 
     def test_balls_after_a_one_pick_best_make_no_greedy_run(self, greedy_runs):
@@ -467,7 +469,7 @@ def per_ball_subset_reach(sys_, balls):
     """subset_reach by one greedy_eps per ball, each on a fresh twin of the
     system: the smallest set wins, ties to the smallest index, and a ball
     whose greedy raises is skipped. With no ball reached, the first ball's
-    error is raised."""
+    error is raised, its message after the number of balls tried."""
     best, first_error = None, None
     for k, ball in enumerate(balls, start=1):
         try:
@@ -478,7 +480,10 @@ def per_ball_subset_reach(sys_, balls):
         if best is None or delta.cardinality < best[0].cardinality:
             best = (delta, k)
     if best is None:
-        raise first_error
+        raise NumericalInfeasibilityError(
+            f"no ball is reached ({len(balls)} tried); ball 1: {first_error}",
+            residual_sq=first_error.residual_sq,
+        )
     return best
 
 
@@ -640,10 +645,14 @@ class TestSharedClosureCache:
         ids=["residual", "is_feasible", "reachable_subspace", "is_controllable"],
     )
     def test_set_calls_build_only_their_own_closures(self, monkeypatch, call):
+        # Index 2 reaches every state and its closure is full, so the fold
+        # of index 5 into its cover changes nothing and builds no closure.
         built = counted_builds(monkeypatch)
         n = 12
-        call(erdos_renyi(n, 4), ActuatorSet(n, (2, 5)), random_target(n, 4))
-        assert built == [1, 4]
+        sys_ = erdos_renyi(n, 4)
+        call(sys_, ActuatorSet(n, (2, 5)), random_target(n, 4))
+        assert built == [1]
+        assert sys_._reach_bits[1] == (1 << n) - 1 and sys_._full(1)
 
     def test_weighted_subset_reach_builds_one_closure(self, monkeypatch):
         # Every index's first fold spans the output space, so the first
@@ -681,17 +690,17 @@ class TestSharedClosureCache:
         v = random_target(20, 5)
         weighted = LtiSystem(unweighted.a, rng.standard_normal((13, 20)))
         balls = [Ball(weighted.w @ random_target(20, k), 0.5) for k in range(3)]
+        # An unweighted system shares no first fold.
         solves = [
-            (unweighted, lambda sys_: bisection_exact(sys_, v, 1.0)),
-            (weighted, lambda sys_: subset_reach(sys_, balls)),
+            (unweighted, lambda sys_: bisection_exact(sys_, v, 1.0), {"_closures"}),
+            (weighted, lambda sys_: subset_reach(sys_, balls), {"_closures", "_first_folds"}),
         ]
         del unweighted, weighted
         gc.disable()
         try:
             while solves:
-                sys_, solve = solves.pop()
+                sys_, solve, tables = solves.pop()
                 solve(sys_)
-                tables = {"_closures", "_first_folds"}
                 assert tables <= vars(sys_).keys()
                 ref = weakref.ref(sys_)
                 del sys_
@@ -701,8 +710,9 @@ class TestSharedClosureCache:
 
 
 class TestSharedFirstFolds:
-    """A fold of one index into the empty set is made once per system and
-    shared by every target, walk and set call."""
+    """On a weighted system, a fold of one index into the empty set is made
+    once per system and shared by every target, walk and set call. An
+    unweighted system shares none."""
 
     def test_set_call_after_subset_reach_makes_no_fold(self, include_calls):
         # Every ball picks index 1 first, and its fold reaches every ball.
@@ -733,6 +743,20 @@ class TestSharedFirstFolds:
                 if kind == "weighted":
                     q = int(rng.integers(1, n + 3))
                     sys_ = LtiSystem(sys_.a, rng.standard_normal((q, n)))
+            if sys_.w is None:
+                # An unweighted fold into the empty set is made in place
+                # and shared by no one: a full closure's is its cover
+                # alone. Its twin with W = I shares its folds.
+                for i0 in range(n):
+                    root = _ReachAccumulator(sys_)
+                    fresh = _ReachAccumulator(sys_)
+                    fresh.include(i0)
+                    assert root.fold(i0) is root
+                    assert root.basis_free == sys_._full(i0) == fresh.basis_free
+                    assert (root.cover, root.rank) == (fresh.cover, fresh.rank)
+                    assert root.cover == sys_._reach_bits[i0]
+                assert not sys_._first_folds
+                sys_ = LtiSystem(sys_.a, np.eye(n))
             for i0 in range(n):
                 acc = _ReachAccumulator(sys_).fold(i0)
                 fresh = _ReachAccumulator(sys_)
@@ -754,8 +778,10 @@ class TestSharedFirstFolds:
     def test_a_path_copies_its_first_fold_once_and_leaves_it_sealed(
         self, monkeypatch, weighted
     ):
-        # The second pick folds into one copy of the shared first fold, and
-        # every later pick into that copy in place.
+        # A weighted path folds its second pick into one copy of the shared
+        # first fold, and every later pick into that copy in place. An
+        # unweighted path folds every pick into its own accumulator in
+        # place, and copies nothing.
         copies = []
         copy = _ReachAccumulator.copy
 
@@ -767,6 +793,9 @@ class TestSharedFirstFolds:
         sys_, v = ten_permuted_blocks(409, weighted)
         _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
         assert len(trace.chosen) == 10
+        if not weighted:
+            assert copies == [] and not sys_._first_folds
+            return
         first = trace.chosen[0] - 1
         shared = sys_._first_folds[first]
         assert len(copies) == 1 and (copies[0].state, copies[0].out) == shared
@@ -801,33 +830,27 @@ class TestSharedFirstFolds:
         a = np.zeros((12, 12))
         a[:7, :7] = rng.standard_normal((7, 7))
         a[7:, 7:] = rng.standard_normal((5, 5))
-        for w in [None, np.eye(12)]:
-            sys_ = LtiSystem(a, w)
-            acc = _ReachAccumulator(sys_).fold(0)
-            for fold in (acc.state, acc.out):
-                if fold is not None:
-                    assert fold.rank + 1 == fold._q.shape[1] < fold.dim
-            q = acc.state._q
-            with pytest.raises(ValueError):
-                acc.include(7)
-            assert (acc.state.rank, acc.state._q) == (7, q)
-            assert not acc.state._q.flags.writeable
+        acc = _ReachAccumulator(LtiSystem(a, np.eye(12))).fold(0)
+        for fold in (acc.state, acc.out):
+            assert fold.rank + 1 == fold._q.shape[1] < fold.dim
+        q = acc.state._q
+        with pytest.raises(ValueError):
+            acc.include(7)
+        assert (acc.state.rank, acc.state._q) == (7, q)
+        assert not acc.state._q.flags.writeable
 
     def test_truncating_a_shared_fold_raises_and_keeps_it(self):
         rng = np.random.default_rng(211)
         a = np.zeros((12, 12))
         a[:7, :7] = rng.standard_normal((7, 7))
         a[7:, 7:] = rng.standard_normal((5, 5))
-        for w in [None, rng.standard_normal((9, 12))]:
-            acc = _ReachAccumulator(LtiSystem(a, w)).fold(0)
-            for fold in (acc.state, acc.out):
-                if fold is None:
-                    continue
-                rank, data = fold.rank, fold.span().tobytes()
-                for target in (0, rank - 1):
-                    with pytest.raises(ValueError):
-                        fold.truncate(target)
-                assert (fold.rank, fold.span().tobytes()) == (rank, data)
+        acc = _ReachAccumulator(LtiSystem(a, rng.standard_normal((9, 12)))).fold(0)
+        for fold in (acc.state, acc.out):
+            rank, data = fold.rank, fold.span().tobytes()
+            for target in (0, rank - 1):
+                with pytest.raises(ValueError):
+                    fold.truncate(target)
+            assert (fold.rank, fold.span().tobytes()) == (rank, data)
 
 
 class TestSpanCapacity:
@@ -980,13 +1003,14 @@ class TestBruteForceOpt:
         # walk for size k keeps a subset of fewer than k indices only when
         # it and every index above its largest cover all 12 states, which
         # holds for the prefixes {1..j} alone; no subset of k < 12 indices
-        # covers them. The walk for size k folds {1..j} for j = 1..k-1,
-        # and {1} is folded once per system: 1 + (1 + ... + 9) = 46.
+        # covers them. The walk for size k folds {1..j} for j = 1..k-1; an
+        # unweighted system shares no fold between walks, so {1} is folded
+        # once per walk from k = 2: 1 + ... + 10 = 55.
         n, k_max = 12, 11
         sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)))
         assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
-        assert len(include_calls) == 1 + sum(k - 2 for k in range(3, k_max + 1))
-        assert len(include_calls) == 46
+        assert len(include_calls) == sum(k - 1 for k in range(2, k_max + 1))
+        assert len(include_calls) == 55
 
     def test_rejects_negative_eps(self):
         with pytest.raises(InputError):
@@ -1161,9 +1185,10 @@ class TestSharedSubsetWalk:
         assert len(include_calls) == expected
 
     def test_epsilon_a_copies_once_per_two_index_subset(self, monkeypatch):
-        # A single index is a shared first fold, each two-index subset folds
-        # into one copy of it, and every deeper subset folds into that copy
-        # in place and is rolled back.
+        # On a weighted system a single index is a shared first fold, each
+        # two-index subset folds into one copy of it, and every deeper
+        # subset folds into that copy in place and is rolled back. An
+        # unweighted walk folds every subset in place and copies nothing.
         copies = []
         copy = _ReachAccumulator.copy
 
@@ -1172,10 +1197,17 @@ class TestSharedSubsetWalk:
             return copy(acc)
 
         monkeypatch.setattr(_ReachAccumulator, "copy", counting)
-        sys_ = cycle_blocks(4, 4, 4)
-        v = np.random.default_rng(1733).standard_normal(sys_.n)
-        assert repr(epsilon_a(sys_, v)) == "6.136093866085446"
-        assert len(copies) == math.comb(sys_.n, 2) == 66 and all(copies)
+        unweighted = cycle_blocks(4, 4, 4)
+        v = np.random.default_rng(1733).standard_normal(unweighted.n)
+        weighted = LtiSystem(unweighted.a, np.eye(unweighted.n))
+        got = epsilon_a(weighted, v)
+        assert len(copies) == math.comb(weighted.n, 2) == 66 and all(copies)
+        copies.clear()
+        assert epsilon_a(unweighted, v) == pytest.approx(got, rel=1e-12)
+        assert copies == []
+        monkeypatch.undo()
+        assert repr(got) == repr(per_mask_epsilon_a(weighted, v))
+        assert repr(epsilon_a(unweighted, v)) == repr(per_mask_epsilon_a(unweighted, v))
 
     def test_epsilon_a_makes_no_add_that_is_absorbed(self, span_adds):
         # Every fold stops once its state span fills its subset's reach.
@@ -1255,7 +1287,8 @@ def built_masks(monkeypatch):
     """The bitmask of every subset that _ReachAccumulator.fold builds, in
     call order. Each accumulator keeps a stack of the masks folded into it:
     a fold pushes one, onto a new accumulator or in place, and `truncate`
-    pops one. An accumulator the walk did not build (its root) has mask 0.
+    pops one. An accumulator the walk did not build (its root) has mask 0,
+    as it has again once each fold made into it in place is rolled back.
     For walks for one size, which share no subtree: a fold whose subtree
     is shared changed nothing and is not rolled back."""
     masks = {}
@@ -1266,7 +1299,7 @@ def built_masks(monkeypatch):
 
     def recording(acc, i0):
         child = fold(acc, i0)
-        mask = masks.get(id(acc), [0])[-1] | 1 << i0
+        mask = (masks.get(id(acc)) or [0])[-1] | 1 << i0
         alive.append(child)
         masks.setdefault(id(child), []).append(mask)
         built.append(mask)
