@@ -189,8 +189,7 @@ class _SpanBuilder:
     against the current basis, re-orthogonalized once, and either
     appended (unit-normalized) or absorbed when its residual norm falls
     at or below ``_absorb_tol(||col||)``. Exact-zero columns are absorbed
-    without arithmetic. `truncate` rolls the span back to a smaller rank,
-    and `seal` makes it read-only.
+    without arithmetic. `truncate` rolls the span back to a smaller rank.
 
     The columns live in a ``(dim, capacity)`` buffer sized to the rank,
     not to dim: it starts at ``min(dim, _SPARE)`` columns, `holding` and
@@ -199,8 +198,6 @@ class _SpanBuilder:
     dim, always. The ``+1`` matters for the bits: numpy sends a slice
     ``q[:, :r]`` that fills its whole array down another BLAS path, whose
     results can differ in the last bits from the ``(dim, dim)`` layout's.
-    A sealed buffer refuses to grow or to roll back, as it refuses a
-    write.
     """
 
     __slots__ = ("dim", "_q", "_r")
@@ -234,18 +231,8 @@ class _SpanBuilder:
 
     def truncate(self, rank: int) -> None:
         """Roll the span back to its first `rank` columns; a later `add`
-        writes over the rest. Raises ValueError on a sealed span."""
-        if not self._q.flags.writeable:
-            raise ValueError("cannot roll back a read-only span")
+        writes over the rest."""
         self._r = rank
-
-    def seal(self) -> None:
-        """Make the span read-only: a later `add` or `truncate` raises."""
-        self._q.setflags(write=False)
-
-    @property
-    def sealed(self) -> bool:
-        return not self._q.flags.writeable
 
     def column(self, k: int) -> np.ndarray:
         """View of accepted column k. A column moves when the buffer
@@ -278,14 +265,20 @@ class _SpanBuilder:
             return None
         buf = self._q
         if r + 1 == buf.shape[1] < self.dim:
-            if not buf.flags.writeable:
-                raise ValueError("cannot grow a read-only span")
             self._q = np.empty((self.dim, min(self.dim, 2 * buf.shape[1])))
             self._q[:, :r] = buf[:, :r]
         out = self._q[:, r]
         np.divide(w, norm_w, out=out)
         self._r = r + 1
         return out
+
+    def add_images(self, w: np.ndarray, cols: np.ndarray) -> None:
+        """Add the images ``w @ cols`` of the columns `cols`, in column
+        order, until the span is the whole space."""
+        for col in (w @ cols).T:
+            if self._r == self.dim:
+                return
+            self.add(col)
 
     def project_norm_sq(self, v: np.ndarray) -> float:
         """Squared norm of the orthogonal projection of `v` onto the span."""

@@ -93,7 +93,10 @@ class LtiSystem:
         """The closures built so far, by 0-based index. An index's closure
         is built when a call first needs it (see _closure) and is shared by
         every later call on this system. Safe to share because the system
-        is frozen and `a` is read-only; treat the builders as read-only."""
+        is frozen and `a` is read-only. The builders stay read-only because
+        every fold copies: a fold into an empty span takes a copy of the
+        closure, and any other fold only reads its columns
+        (_ReachAccumulator.include)."""
         return {}
 
     def _closure(self, i0: int) -> _SpanBuilder:
@@ -112,32 +115,6 @@ class LtiSystem:
         ``|R(i0)|``, so it spans exactly the unit vectors e_j of the states
         j that i0 reaches (see _closure). Builds the closure."""
         return self._closure(i0).rank == self._reach_bits[i0].bit_count()
-
-    @cached_property
-    def _first_folds(self) -> dict[int, tuple[_SpanBuilder, _SpanBuilder]]:
-        """The folds of one index into the empty set made so far on a
-        weighted system, by 0-based index (see _first_fold). Builders, not an
-        accumulator, which refers back to the system and would make a
-        reference cycle."""
-        return {}
-
-    def _first_fold(self, i0: int) -> tuple[_SpanBuilder, _SpanBuilder]:
-        """The ``(state, out)`` builders that
-        ``_ReachAccumulator(self).include(i0)`` leaves on a weighted system,
-        made on first use. Such a fold is the same whatever the target, so
-        every greedy path, subset walk and set call on this system starts
-        from it (_ReachAccumulator.fold). Its builders are sealed: the next
-        fold copies them, and a write into them raises. An unweighted system
-        has none: its fold into the empty set is its cover alone when the
-        closure is full, and is made in place otherwise."""
-        table = self._first_folds
-        if i0 not in table:
-            fold = _ReachAccumulator(self)
-            fold.include(i0)
-            fold.state.seal()
-            fold.out.seal()
-            table[i0] = (fold.state, fold.out)
-        return table[i0]
 
     @cached_property
     def _reach(self) -> np.ndarray:
@@ -381,17 +358,15 @@ class _ReachAccumulator:
     invariance lives) and a parallel output-space span that projections
     and gains are measured in.
 
-    `fold` is the one way to grow the set, for the greedy's picks, the
-    exhaustive subset walk and _accumulate alike. A weighted fold into the
-    empty set is the system's shared one, whose builders are read-only; the
-    next fold copies it once. Every other fold is made in place. A caller
-    that needs the accumulator as it was takes a `mark` before the fold and
-    undoes it with `truncate`: each span rolls back to its rank then
-    (_SpanBuilder.truncate), and `cover` to its value, so an accumulator
-    that left the basis-free state returns to it. The columns the fold
-    appended stay in the buffers until a later `add` writes over them, and
-    the columns kept are not touched, so a rolled-back accumulator folds as
-    it would have had the fold never been made.
+    `include` is the one way to grow the set, for the greedy's picks, the
+    exhaustive subset walk and _accumulate alike, and it folds in place. A
+    caller that needs the accumulator as it was takes a `mark` before the
+    fold and undoes it with `truncate`: each span rolls back to its rank
+    then (_SpanBuilder.truncate), and `cover` to its value, so an
+    accumulator that left the basis-free state returns to it. The columns
+    the fold appended stay in the buffers until a later `add` writes over
+    them, and the columns kept are not touched, so a rolled-back
+    accumulator folds as it would have had the fold never been made.
     """
 
     __slots__ = ("sys", "state", "out", "cover")
@@ -401,14 +376,6 @@ class _ReachAccumulator:
         self.state = _SpanBuilder(sys.n)
         self.out = _SpanBuilder(sys.output_dim) if sys.w is not None else None
         self.cover = 0
-
-    def copy(self) -> "_ReachAccumulator":
-        other = _ReachAccumulator.__new__(_ReachAccumulator)
-        other.sys = self.sys
-        other.state = self.state.copy()
-        other.out = None if self.out is None else self.out.copy()
-        other.cover = self.cover
-        return other
 
     @property
     def basis_free(self) -> bool:
@@ -426,23 +393,6 @@ class _ReachAccumulator:
         """Rank of the span that residuals are measured in."""
         return self.rank if self.out is None else self.out.rank
 
-    def fold(self, i0: int) -> "_ReachAccumulator":
-        """The accumulator with the closure of 0-based index `i0` folded in.
-        From the empty set on a weighted system it is a new one around the
-        system's shared fold of i0, which is read-only (see
-        LtiSystem._first_fold). From a read-only one it is a copy, folded by
-        `include`. Otherwise it is this accumulator itself, folded in place;
-        `truncate` to a `mark` taken before undoes it."""
-        if self.out is not None and not self.state.rank:
-            other = _ReachAccumulator.__new__(_ReachAccumulator)
-            other.sys = self.sys
-            other.state, other.out = self.sys._first_fold(i0)
-            other.cover = self.sys._reach_bits[i0]
-            return other
-        acc = self.copy() if self.state.sealed else self
-        acc.include(i0)
-        return acc
-
     def mark(self) -> tuple[int, int, int]:
         """The state and output builders' ranks and the cover, which
         `truncate` restores."""
@@ -456,19 +406,21 @@ class _ReachAccumulator:
             self.out.truncate(out_rank)
 
     def include(self, i0: int) -> None:
-        """Fold in the closure of 0-based index `i0`: in a basis-free
-        accumulator, OR its reach row into the cover when the closure is
-        full; otherwise append the state directions it accepts to ``state``
-        and their W-images to ``out``.
+        """Fold in the closure of 0-based index `i0`, in place: in a
+        basis-free accumulator, OR its reach row into the cover when the
+        closure is full; otherwise append the state directions it accepts
+        to ``state`` and their W-images to ``out`` (_SpanBuilder.add_images).
 
-        Two caps skip `add` calls that could only be absorbed, so every
-        bit is kept. The fold stops once the state rank reaches
-        ``cover.bit_count()``: the span is then every state the indices
-        reach, and each closure column left lies in it, with a residual of
-        rounding size after the re-orthogonalisation (see _index_closure).
-        So a basis-free accumulator that covers every state i0 reaches is
-        left as it is. And once the output span is the whole output space,
-        a new state direction's W-image is neither taken nor added.
+        Into an empty state span the fold is a copy of the closure, which is
+        already orthonormal and spans exactly that subspace; the system's
+        closure itself is never written. Two caps skip `add` calls that
+        could only be absorbed, so every bit is kept. The fold stops once
+        the state rank reaches ``cover.bit_count()``: the span is then every
+        state the indices reach, and each closure column left lies in it,
+        with a residual of rounding size after the re-orthogonalisation (see
+        _index_closure). So a basis-free accumulator that covers every state
+        i0 reaches is left as it is. And once the output span is the whole
+        output space, no W-image is added.
         """
         sys = self.sys
         bits = sys._reach_bits[i0]
@@ -478,17 +430,22 @@ class _ReachAccumulator:
             if sys._full(i0):
                 self.cover |= bits
                 return
-            self.state = _SpanBuilder.holding(_unit_columns(self.cover, sys.n))
+            if self.cover:
+                self.state = _SpanBuilder.holding(_unit_columns(self.cover, sys.n))
         src = sys._closure(i0)
         self.cover |= bits
-        full = self.cover.bit_count()
-        state, out, w = self.state, self.out, sys.w
-        for k in range(src.rank):
-            if state.rank == full:
-                break
-            direction = state.add(src.column(k))
-            if direction is not None and out is not None and out.rank < out.dim:
-                out.add(w @ direction)
+        state = self.state
+        start = state.rank
+        if not start:
+            self.state = state = src.copy()
+        else:
+            full = self.cover.bit_count()
+            for k in range(src.rank):
+                if state.rank == full:
+                    break
+                state.add(src.column(k))
+        if self.out is not None:
+            self.out.add_images(sys.w, state.span(start))
 
     @property
     def output_builder(self) -> _SpanBuilder:
@@ -515,16 +472,17 @@ class _ReachAccumulator:
 
 def _accumulate(sys: LtiSystem, delta: ActuatorSet) -> _ReachAccumulator:
     """The accumulator of `delta`, its indices folded in ascending order
-    (_ReachAccumulator.fold): on a weighted system the shared fold of the
-    smallest, then one copy that takes the rest. A set over another
-    dimension than `sys` raises DimensionError."""
+    (_ReachAccumulator.include): a copy of the smallest index's closure, or
+    its cover when the closure is full and the system unweighted, that
+    takes the rest in place. A set over another dimension than `sys`
+    raises DimensionError."""
     if delta.n != sys.n:
         raise DimensionError(
             f"actuator set is over dimension {delta.n}, system has n={sys.n}"
         )
     acc = _ReachAccumulator(sys)
     for i in delta.indices:
-        acc = acc.fold(i - 1)
+        acc.include(i - 1)
     return acc
 
 
@@ -534,9 +492,10 @@ def reachable_subspace(sys: LtiSystem, delta: ActuatorSet) -> OrthoBasis:
     With an output weight the basis spans the W-image of the state-space
     reachable subspace and lives in the output space. The basis is
     deterministic for fixed inputs: indices are folded in ascending order
-    and each index's closure directions in their generation order. On an
-    unweighted system whose folds all took full closures, it is the unit
-    vectors of the states the set reaches, in ascending state order.
+    and each index's closure directions in their generation order, the
+    smallest index's closure taken as it is. On an unweighted system whose
+    folds all took full closures, it is the unit vectors of the states the
+    set reaches, in ascending state order.
     """
     return _accumulate(sys, delta).basis()
 
@@ -622,19 +581,16 @@ def _subset_residuals(
 
     Subsets are walked depth first, each index included before it is
     skipped, so the subsets of each size come in lexicographic order. Each
-    subset is its prefix's accumulator with one index folded in
-    (_ReachAccumulator.fold), so each is built at most once per walk; a
-    prefix with too few indices left to reach `least` is not extended. On
-    a weighted system a single index is the system's shared fold, made at
-    most once per system, and a two-index subset one copy of it. Every
-    other subset is folded into its prefix's accumulator in place, which is
-    rolled back to its `mark` once the subset's subtree is walked. A
-    closure is built when the walk first folds its index. A fold stops
-    once the subset's state span fills the states its indices reach (see
-    _ReachAccumulator.include), so a fold that can add no rank makes no
-    `add` call. On an unweighted system a subset whose folds all took full
-    closures is basis-free, and its residual depends on its cover alone:
-    it is taken once per cover and walk.
+    subset is its prefix's accumulator with one index folded in place
+    (_ReachAccumulator.include), so each is built at most once per walk; a
+    prefix with too few indices left to reach `least` is not extended. The
+    walk's one accumulator is rolled back to a subset's `mark` once the
+    subset's subtree is walked. A closure is built when the walk first folds
+    its index. A fold stops once the subset's state span fills the states
+    its indices reach (see _ReachAccumulator.include), so a fold that can
+    add no rank makes no `add` call. On an unweighted system a subset whose
+    folds all took full closures is basis-free, and its residual depends on
+    its cover alone: it is taken once per cover and walk.
 
     Coverage rule, for a `limit` on an unweighted system: a subset is
     neither folded nor yielded, and nor is any subset below it, when the
@@ -659,7 +615,7 @@ def _subset_residuals(
     first column, e_i, lies outside the span unless i is in the cover, and
     with i every state i reaches; a basis-free X, whose rank is its cover's
     popcount, is then left as it is. So X + {i} has X's accumulator to the
-    bit, folded in place or not, and its subtree (X + {i} extended by indices above i) does the
+    bit, and its subtree (X + {i} extended by indices above i) does the
     same arithmetic as X's continuation (X extended by indices above i).
     That continuation is then walked once, from X, and its ``(mask,
     residual)`` list yielded twice: first with bit i set, then without,
@@ -711,19 +667,18 @@ def _subset_residuals(
                 if outside[hull] > limit:
                     continue
             rank, mark = acc.rank, acc.mark()
-            child = acc.fold(i0)
-            if child.rank == rank and least <= size and size + n - i0 <= k:
+            acc.include(i0)
+            if acc.rank == rank and least <= size and size + n - i0 <= k:
                 rest = list(extensions(acc, mask, size, i0 + 1, res))
                 yield mask | bit, res
                 for sub_mask, sub_res in rest:
                     yield sub_mask | bit, sub_res
                 yield from rest
                 return
-            child_res = residual_sq(child)
+            child_res = residual_sq(acc)
             yield mask | bit, child_res
-            yield from extensions(child, mask | bit, size + 1, i0 + 1, child_res)
-            if child is acc:
-                acc.truncate(mark)
+            yield from extensions(acc, mask | bit, size + 1, i0 + 1, child_res)
+            acc.truncate(mark)
 
     yield 0, nv2
     yield from extensions(_ReachAccumulator(sys), 0, 0, 0, nv2)

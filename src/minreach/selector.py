@@ -139,24 +139,23 @@ class _GreedyPath:
 
     Every other built candidate has a residual closure ``bases[i] = (z,
     s)``: an orthonormal basis z of the part of i's closure outside the
-    state span reached so far, and the norm s[j] that closure column j
-    keeps outside it. Bases start as views of the system's closures.
-    Before the first pick, an unweighted score is the gain of i's closure,
-    and a weighted one that of the system's shared fold of i into the
-    empty set (LtiSystem._first_fold), the fold a trial of i takes.
-    ``blocks`` keeps each pick's new state directions, the groups they
-    met and ``r`` then: a candidate built late replays the ones that met
-    its group in order, and so holds the basis and score it would hold had
-    it been built at the start. When a pick's fold leaves the basis-free
-    mode, which it never re-enters, each candidate in ``coord`` is built
-    again that way.
+    state span reached so far, and the norm s[j] that closure column j keeps
+    outside it. Bases start as views of the system's closures, which are
+    read, never written. An unweighted score is the gain of z for the
+    residual r; a weighted one is the gain of folding the W-images of z into
+    the output span reached so far (`_fold_score`), by the same
+    _SpanBuilder.add_images that the fold of i takes. Before the first pick,
+    z is i's closure, and the fold of i into the empty set is a copy of it,
+    so the score is that fold's gain to the bit. ``blocks`` keeps each
+    pick's new state directions, the groups they met and ``r`` then: a
+    candidate built late replays the ones that met its group in order, and
+    so holds the basis and score it would hold had it been built at the
+    start. When a pick's fold leaves the basis-free mode, which it never
+    re-enters, each candidate in ``coord`` is built again that way.
 
-    A weighted path's first pick's accumulator is the system's shared fold
-    of it, which is read-only, and the path makes one copy of it in the
-    `absorb_fresh` after its first pick, as `_fold_score` adds to the
-    path's own output span. Every other pick folds into the path's
-    accumulator in place (_ReachAccumulator.fold), and a pick that the fold
-    rejects is rolled back (_ReachAccumulator.truncate).
+    Every pick folds into the path's accumulator in place
+    (_ReachAccumulator.include), and a pick that the fold rejects is rolled
+    back (_ReachAccumulator.truncate).
 
     When the sequence cannot continue, ``stuck`` holds the message, with
     ``{eps!r}`` standing for the threshold of the query that meets it and
@@ -252,8 +251,6 @@ class _GreedyPath:
             for i0 in touched:
                 self._absorb(i0, d, builder, r)
         if acc.out is not None:
-            if acc.state.sealed:
-                self.acc = acc.copy()
             for i0, (z, _) in self.bases.items():
                 self.scores[i0] = self._fold_score(z)
         if not acc.basis_free:
@@ -295,17 +292,15 @@ class _GreedyPath:
         output span, which is then rolled back to its rank before."""
         out = self.acc.out
         o = out.rank
-        for col in (self.acc.sys.w @ z).T:
-            out.add(col)
+        out.add_images(self.acc.sys.w, z)
         gain = _proj_sq(out.span(o), self.r)
         out.truncate(o)
         return gain
 
     def _build(self, i0: int) -> None:
         """Make pending candidate i0's score: on a basis-free path with a
-        full closure, its row sum; otherwise from its residual closure,
-        made from its closure, or a weighted one's first score from its
-        shared first fold, replaying every earlier pick's directions in
+        full closure, its row sum; otherwise from its residual closure, made
+        from its closure by replaying every earlier pick's directions in
         order."""
         sys = self.acc.sys
         closure = sys._closure(i0)
@@ -317,14 +312,12 @@ class _GreedyPath:
         self.bases[i0] = (closure.span(), np.ones(closure.rank))
         if self.acc.out is None:
             self.scores[i0] = closure.project_norm_sq(self.v)
-        elif not self.blocks:
-            self.scores[i0] = sys._first_fold(i0)[1].project_norm_sq(self.v)
         for d, meets, r in self.blocks:
             if meets[self.group[i0]]:
                 self._absorb(i0, d, _SpanBuilder.holding(d), r)
                 if i0 not in self.bases:
                     return
-        if self.blocks and self.acc.out is not None:
+        if self.acc.out is not None:
             self.scores[i0] = self._fold_score(self.bases[i0][0])
 
     def drop(self, i0: int) -> None:
@@ -367,9 +360,9 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
 
     Each step picks the smallest index whose score is positive and within
     ``path.band`` of the largest score (see _GreedyPath.pick), and folds it
-    into the path's accumulator (_ReachAccumulator.fold). The fold judges
-    the pick: one that does not lower the residual leaves the candidates,
-    its fold is rolled back, and the step picks again.
+    into the path's accumulator in place (_ReachAccumulator.include). The
+    fold judges the pick: one that does not lower the residual leaves the
+    candidates, its fold is rolled back, and the step picks again.
     With no positive score left, the path records why in ``path.stuck``.
     """
     v = path.v
@@ -386,18 +379,16 @@ def _greedy_core(path: _GreedyPath, eps: float) -> None:
                     "stuck at squared residual {res!r}"
                 )
                 return
-            trial = acc.fold(pick)
-            new_res = trial.residual_sq(v)
+            acc.include(pick)
+            new_res = acc.residual_sq(v)
             path.drop(pick)
             if new_res < res:
                 break
-            if trial is acc:
-                acc.truncate(mark)
-        if trial.basis_free:
-            path.fresh = _unit_columns(trial.cover & ~mark[2], trial.sys.n)
+            acc.truncate(mark)
+        if acc.basis_free:
+            path.fresh = _unit_columns(acc.cover & ~mark[2], acc.sys.n)
         else:
-            path.fresh = trial.state.span(rank)
-        path.acc = trial
+            path.fresh = acc.state.span(rank)
         path.chosen.append(pick)
         res = new_res
         path.residuals.append(res)
@@ -525,11 +516,9 @@ def subset_reach(
 
     Every ball's run shares the system's closures, so an index's closure
     is built at most once across all balls, and only when some run needs
-    it. On a weighted system the runs also share each index's fold into
-    the empty set (see LtiSystem._first_fold), as does a later set call on
-    the system: it judges a first pick and gives the candidate's score
-    before the first pick. On an unweighted system each path makes its own
-    first fold, which for a full closure is the index's cover alone.
+    it. Each path makes its own folds and scores: a fold into the empty set
+    is a copy of the index's closure, or for a full closure on an
+    unweighted system the index's cover alone.
     """
     balls = list(balls)
     if not balls:

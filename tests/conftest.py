@@ -1,7 +1,7 @@
 """Shared test helpers: random system construction, an independent
-least-squares membership oracle, an in-process CLI runner, a fixture
-that counts span columns accepted and absorbed, and the hypothesis
-profile."""
+least-squares membership oracle, an in-process CLI runner, a copy of an
+accumulator for reference folds, a fixture that counts span columns
+accepted and absorbed, and the hypothesis profile."""
 
 import contextlib
 import io
@@ -13,6 +13,7 @@ from hypothesis import settings
 from minreach import ActuatorSet, LtiSystem
 from minreach.cli import main as cli_main
 from minreach.numkit import _SpanBuilder
+from minreach.reachcore import _ReachAccumulator
 
 
 # One profile for every property test: the same examples on every run, no
@@ -66,6 +67,18 @@ def lstsq_residual_sq(sys_, delta, v):
     x, *_ = np.linalg.lstsq(m, v, rcond=None)
     r = v - m @ x
     return float(r @ r)
+
+
+def copy_accumulator(acc):
+    """A copy of `acc` that folds apart from it: its spans copied
+    (_SpanBuilder.copy), its cover kept. The reference walks and greedies
+    fold each trial into such a copy, where the package folds in place and
+    rolls back."""
+    other = _ReachAccumulator.__new__(_ReachAccumulator)
+    other.sys, other.cover = acc.sys, acc.cover
+    other.state = acc.state.copy()
+    other.out = None if acc.out is None else acc.out.copy()
+    return other
 
 
 def run_cli(argv):

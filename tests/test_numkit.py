@@ -235,17 +235,19 @@ class TestSpanBuilderViews:
         again = _SpanBuilder.holding(first[:, :2])
         assert np.array_equal(builder.add(col), again.add(col))
 
-    def test_seal_refuses_add_and_truncate(self):
-        builder = _SpanBuilder(4)
-        builder.add(np.array([1.0, 2.0, 0.0, 0.0]))
-        builder.seal()
-        data = builder.span().tobytes()
-        with pytest.raises(ValueError):
-            builder.add(np.array([0.0, 1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            builder.truncate(0)
-        assert (builder.rank, builder.span().tobytes()) == (1, data)
-        assert builder.add(np.array([2.0, 4.0, 0.0, 0.0])) is None
+    def test_add_images_adds_in_column_order_until_the_span_is_full(self, span_adds):
+        # Five images in a 3-dimensional space: the first three fill it, and
+        # the last two are not offered.
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((3, 6))
+        cols, _ = np.linalg.qr(rng.standard_normal((6, 5)))
+        builder = _SpanBuilder(3)
+        builder.add_images(w, cols)
+        assert builder.rank == 3 and span_adds == [(3, True)] * 3
+        want = _SpanBuilder(3)
+        for col in (w @ cols).T[:3]:
+            want.add(col)
+        assert builder.span().tobytes() == want.span().tobytes()
 
 
 def test_only_numkit_knows_span_storage_and_the_rank_tolerance():

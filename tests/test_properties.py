@@ -4,10 +4,12 @@ and star-like state matrices that the seeded corpora, dense Gaussian or
 Erdos-Renyi, do not produce. The examples are derandomized (see the
 profile in conftest.py), so every run draws the same ones."""
 
+import contextlib
 import math
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -18,6 +20,7 @@ from minreach import (
     ActuatorSet,
     Ball,
     LtiSystem,
+    NumericalInfeasibilityError,
     bisection_exact,
     brute_force_opt,
     epsilon_a,
@@ -26,7 +29,7 @@ from minreach import (
     residual,
     subset_reach,
 )
-from minreach.reachcore import _subset_residuals
+from minreach.reachcore import _ReachAccumulator, _subset_residuals
 from test_reachcore import fold_greedy
 from test_selector import per_ball_subset_reach, plain_walk, union_outcome
 
@@ -166,7 +169,7 @@ def test_subset_reach_is_the_per_ball_greedy(union):
 @given(problems())
 def test_the_same_call_twice_gives_the_same_result(problem):
     # The second call reuses every table the first left on the system: the
-    # closures, the reach groups and the shared first folds.
+    # closures and the reach groups.
     sys_, v = problem
     nv2 = float(v @ v)
     balls = [Ball(v, 1e-6 * nv2), Ball(v[::-1], 0.5 * nv2)]
@@ -210,10 +213,9 @@ def assert_the_walk_is_the_plain_walk(sys_, v):
 @given(st.one_of(problems(), selector_problems()))
 def test_the_rolled_back_walk_is_the_plain_walk(problem):
     # The walk folds each subset into its prefix's accumulator in place
-    # (past two indices on a weighted system) and rolls it back; the plain
-    # walk folds each one into a copy of its prefix's. Both yield the same
-    # pairs in the same order, to the bit, in the full walk and in the walk
-    # for each size.
+    # and rolls it back; the plain walk folds each one into a copy of its
+    # prefix's. Both yield the same pairs in the same order, to the bit, in
+    # the full walk and in the walk for each size.
     assert_the_walk_is_the_plain_walk(*problem)
 
 
@@ -224,21 +226,47 @@ def test_the_rolled_back_walk_is_the_plain_walk_on_zero_and_star_matrices(proble
     assert_the_walk_is_the_plain_walk(*problem)
 
 
+def assert_closures_as_built(sys_):
+    """Every closure cached on `sys_` has the rank and bits of the same
+    closure built on a fresh twin."""
+    twin = LtiSystem(sys_.a, sys_.w)
+    for i0, closure in sys_._closures.items():
+        fresh = twin._closure(i0)
+        assert (closure.rank, closure.span().tobytes()) == (fresh.rank, fresh.span().tobytes())
+
+
 @given(st.one_of(problems(), selector_problems()), st.sampled_from([0.5, 1e-6]))
 def test_a_search_that_stops_early_leaves_the_shared_folds_as_they_were(problem, rel):
-    # brute_force_opt drops its walk at the first hit, with the walk's own
-    # copy still folded. The shared first folds stay sealed, and a later
-    # epsilon_a on the system gives what it gives on a fresh twin.
+    # The closures are shared by every call on the system, and a fold only
+    # copies them: brute_force_opt drops its walk at the first hit with its
+    # accumulator still folded, a greedy rolls back a rejected pick, and
+    # neither leaves a closure other than it was built. A later epsilon_a
+    # on the system gives what it gives on a fresh twin.
     sys_, v = problem
-    brute_force_opt(sys_, v, rel * float(v @ v))
-    twin = LtiSystem(sys_.a, sys_.w)
-    assert repr(epsilon_a(sys_, v)) == repr(epsilon_a(twin, v))
-    assert sys_._first_folds.keys() == twin._first_folds.keys()
-    for i0, folds in sys_._first_folds.items():
-        for fold, fresh in zip(folds, twin._first_folds[i0]):
-            if fold is not None:
-                assert fold.sealed
-                assert (fold.rank, fold.span().tobytes()) == (fresh.rank, fresh.span().tobytes())
+    nv2 = float(v @ v)
+    brute_force_opt(sys_, v, rel * nv2)
+    assert_closures_as_built(sys_)
+    assert repr(epsilon_a(sys_, v)) == repr(epsilon_a(LtiSystem(sys_.a, sys_.w), v))
+    assert_closures_as_built(sys_)
+    # The fold judge rejects the first trial, a fold into the empty set (a
+    # copy of the closure, unless an unweighted closure is full), which is
+    # rolled back to rank 0.
+    residual_sq = _ReachAccumulator.residual_sq
+    calls = []
+
+    def rejecting_the_first(acc, v):
+        calls.append(acc)
+        return math.inf if len(calls) == 1 else residual_sq(acc, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ReachAccumulator, "residual_sq", rejecting_the_first)
+        with contextlib.suppress(NumericalInfeasibilityError):
+            greedy_eps(sys_, v, rel * nv2)
+    assert calls
+    assert_closures_as_built(sys_)
+    with contextlib.suppress(NumericalInfeasibilityError):
+        subset_reach(sys_, [Ball(v, rel * nv2), Ball(v[::-1], 0.5 * nv2)])
+    assert_closures_as_built(sys_)
 
 
 def reached(a, indices):

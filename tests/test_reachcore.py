@@ -10,7 +10,7 @@ from operator import or_
 import numpy as np
 import pytest
 
-from conftest import lstsq_residual_sq, random_actuators, random_system
+from conftest import copy_accumulator, lstsq_residual_sq, random_actuators, random_system
 from minreach import (
     ActuatorSet,
     CapacityError,
@@ -473,7 +473,7 @@ def scalar_best_extension(acc, indices, v, band=0.0):
     trial, or (-1, None) when no gain is positive."""
     trials = {}
     for i0 in indices:
-        trial = acc.copy()
+        trial = copy_accumulator(acc)
         start = trial.output_rank
         trial.include(i0)
         if trial.basis_free:
@@ -558,16 +558,29 @@ class TestBatchedClosuresAndExtensions:
 
     def repeated_row_cases(self):
         """Weighted systems whose W repeats its first row, each with a
-        target and the first pick that trial folds make. At seed 50 every
-        fold gain lies inside the tie band; at seed 191 index 0's lies 2.5
-        bands below the top. The W-image W C_i of each closure spans what
-        i's fold spans but rounds differently, and scored by it the greedy
-        picked indices 9 and 0."""
-        for seed, first in [(50, 0), (191, 1)]:
+        target. W has rank 10, so every index whose closure has rank 10 or
+        more folds into the whole range of W, and those fold gains differ by
+        rounding alone: the tie band decides the first pick. At seeds 50 and
+        191 every index reaches every state, and how the gains round depends
+        on the BLAS kernel. In the third case index 0 reaches itself alone,
+        and `v` lies in the range of W with a squared part of 4 bands
+        outside W e_0, so index 0's gain lies about 4 bands below the top on
+        every kernel."""
+        for seed in (50, 191):
             rng = np.random.default_rng(seed)
             w = rng.standard_normal((11, 15))
             w[10] = w[0]
-            yield LtiSystem(erdos_renyi(15, seed).a, w), rng.standard_normal(11), first
+            yield LtiSystem(erdos_renyi(15, seed).a, w), rng.standard_normal(11)
+        rng = np.random.default_rng(1913)
+        w = rng.standard_normal((11, 15))
+        w[10] = w[0]
+        a = erdos_renyi(15, 1913).a.copy()
+        a[:, 0] = 0.0
+        x = w[:, 0]
+        u = w @ rng.standard_normal(15)
+        u -= (u @ x) / (x @ x) * x
+        u /= np.linalg.norm(u)
+        yield LtiSystem(a, w), x + math.sqrt(4 * TIE_BAND_REL * 15 * float(x @ x)) * u
 
     def test_picks_match_fold_gains_with_the_tie_band(self):
         rng = np.random.default_rng(77)
@@ -579,23 +592,40 @@ class TestBatchedClosuresAndExtensions:
             assert got == fold_greedy(sys_, v, eps)
             steps += len(got[0])
         assert steps > 2 * len(list(self.systems()))
-        for sys_, v, first in self.repeated_row_cases():
-            eps = 0.5 * float(v @ v)
-            got = residual_closure_greedy(sys_, v, eps)
+        # The first pick is the smallest index within the band of the top
+        # fold gain, on whichever kernel runs the test. Index 0's distance
+        # below the top, in bands, is rounding alone in the first two cases
+        # (0.0 to 9.92 over the six kernels of tools/kernel_suite.py) and
+        # the planted 4 bands in the third.
+        below = []
+        for sys_, v in self.repeated_row_cases():
+            nv2 = float(v @ v)
+            band = TIE_BAND_REL * sys_.n * nv2
+            gains = []
+            for i0 in range(sys_.n):
+                fold = reachcore._ReachAccumulator(sys_)
+                fold.include(i0)
+                gains.append(nv2 - fold.residual_sq(v))
+            top = max(gains)
+            first = next(i0 for i0, gain in enumerate(gains) if gain >= top - band)
+            below.append((top - gains[0]) / band)
+            got = residual_closure_greedy(sys_, v, 0.5 * nv2)
             assert got[0] == [first]
-            assert got == fold_greedy(sys_, v, eps)
+            assert got == fold_greedy(sys_, v, 0.5 * nv2)
+        assert max(below[:2]) < 12 and 3.5 < below[2] < 4.5
 
     def test_weighted_first_scores_are_the_first_fold_gains(self):
         # The gain the trial of i would take, to the bit.
         rng = np.random.default_rng(78)
         weighted = [sys_ for sys_ in self.systems() if sys_.w is not None]
         cases = [(sys_, rng.standard_normal(sys_.output_dim)) for sys_ in weighted]
-        cases += [(sys_, v) for sys_, v, _ in self.repeated_row_cases()]
+        cases += list(self.repeated_row_cases())
         for sys_, v in cases:
             path = _GreedyPath(sys_, v)
             for i0 in range(sys_.n):
                 path._build(i0)
-                fold = reachcore._ReachAccumulator(sys_).fold(i0)
+                fold = reachcore._ReachAccumulator(sys_)
+                fold.include(i0)
                 assert path.scores[i0] == fold.out.project_norm_sq(v)
 
     def test_residual_traces_match_the_fold_greedy_bit_for_bit(self):
@@ -975,17 +1005,17 @@ class TestInPlaceFold:
             for _ in range(20):
                 order = [int(i0) for i0 in rng.permutation(n)]
                 k = int(rng.integers(1, n))
-                acc = reachcore._ReachAccumulator(sys_).fold(order[0]).copy()
-                for i0 in order[1:k]:
+                acc = reachcore._ReachAccumulator(sys_)
+                for i0 in order[:k]:
                     acc.include(i0)
                 # Indices that reach a state outside the accumulator's cover.
                 new = [i0 for i0 in order[k:] if sys_._reach_bits[i0] & ~acc.cover]
                 if len(new) < 2:
                     continue
-                before = acc.copy()
+                before = copy_accumulator(acc)
                 buffer = acc.state._q
                 mark = acc.mark()
-                assert acc.fold(new[0]) is acc
+                acc.include(new[0])
                 assert acc.rank > before.rank
                 grown += acc.state._q is not buffer
                 acc.truncate(mark)
@@ -1000,9 +1030,10 @@ class TestInPlaceFold:
         assert grown > 10 and rolled > 60
 
     def test_a_rejected_pick_is_rolled_back(self, monkeypatch):
-        # The judge rejects the first trial (from the empty set), the second
-        # pick's trial (from the shared first fold) and two trials in a row
-        # in place; the path's accumulator is then the fold of its picks.
+        # The judge rejects the first trial (a fold into the empty set), the
+        # second pick's trial and two trials in a row. Every trial is folded
+        # into the path's one accumulator, which is then the fold of its
+        # picks.
         residual_sq = reachcore._ReachAccumulator.residual_sq
         calls = []
 
@@ -1020,9 +1051,9 @@ class TestInPlaceFold:
             path = _GreedyPath(sys_, v)
             _greedy_core(path, 1e-12 * float(v @ v))
             assert len(path.chosen) + 4 == len(calls) and len(path.chosen) > 4
-            assert len({id(acc) for acc in calls[4:]}) == 1
-            want = reachcore._ReachAccumulator(sys_).fold(path.chosen[0]).copy()
-            for i0 in path.chosen[1:]:
+            assert {id(acc) for acc in calls} == {id(path.acc)}
+            want = reachcore._ReachAccumulator(sys_)
+            for i0 in path.chosen:
                 want.include(i0)
             got = path.acc
             assert got.mark() == want.mark()
@@ -1047,19 +1078,25 @@ def uncapped_closure(a, i0):
 
 def uncapped_fold(sys_, order):
     """The state and output spans of folding the uncapped closures of the
-    0-based indices `order`, in that order: every closure column offered to
-    the state span, and the W-image of every accepted direction to the
-    output span. Also returns how many of those offers were absorbed."""
+    0-based indices `order`, in that order, with no cap: into the empty
+    state span a copy of the first closure, then every column of each later
+    closure offered to the state span, and after each fold the W-image of
+    every new state column offered to the output span, full or not. Also
+    returns how many of those offers were absorbed."""
     state = _SpanBuilder(sys_.n)
     out = None if sys_.w is None else _SpanBuilder(sys_.output_dim)
     absorbed = 0
     for i0 in order:
         src = uncapped_closure(sys_.a, i0)
-        for k in range(src.rank):
-            direction = state.add(src.column(k))
-            absorbed += direction is None
-            if direction is not None and out is not None:
-                absorbed += out.add(sys_.w @ direction) is None
+        start = state.rank
+        if not start:
+            state = src.copy()
+        else:
+            for k in range(src.rank):
+                absorbed += state.add(src.column(k)) is None
+        if out is not None:
+            for col in (sys_.w @ state.span(start)).T:
+                absorbed += out.add(col) is None
     return state, out, absorbed
 
 
@@ -1085,8 +1122,9 @@ class TestRankCaps:
     subset's reach, and an output span takes nothing once full. Each cap
     skips only `add` calls that would be absorbed, so every closure, and
     every span on a weighted system, keeps the bits of the uncapped sweep
-    and fold. An unweighted fold, basis-free or begun from its cover's unit
-    vectors, spans what the uncapped fold spans."""
+    and fold. An unweighted fold, basis-free, a copy of its first closure or
+    begun from its cover's unit vectors, spans what the uncapped fold
+    spans."""
 
     def systems(self):
         rng = np.random.default_rng(4409)
@@ -1112,10 +1150,9 @@ class TestRankCaps:
             for i0 in range(n):
                 assert same_bits(sys_._closure(i0), uncapped_closure(sys_.a, i0))
                 state, out, skipped = uncapped_fold(sys_, [i0])
-                assert kept(reachcore._ReachAccumulator(sys_).fold(i0), state, out)
-                if sys_.w is not None:
-                    assert same_bits(sys_._first_fold(i0)[0], state)
-                    assert same_bits(sys_._first_fold(i0)[1], out)
+                acc = reachcore._ReachAccumulator(sys_)
+                acc.include(i0)
+                assert kept(acc, state, out)
                 absorbed += skipped
             for _ in range(12):
                 delta = random_actuators(rng, n)
@@ -1126,7 +1163,7 @@ class TestRankCaps:
                 order = [int(i0) for i0 in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
                 acc = reachcore._ReachAccumulator(sys_)
                 for i0 in order:
-                    acc = acc.fold(i0)
+                    acc.include(i0)
                 state, out, skipped = uncapped_fold(sys_, order)
                 assert kept(acc, state, out)
                 absorbed += skipped
@@ -1151,15 +1188,19 @@ class TestSpanAddCounts:
                 i0 += 1
 
     def test_a_first_fold_takes_one_output_add_per_output_row(self, span_adds):
+        # The fold into the empty set copies the closure, with no state add,
+        # and adds W-images until the output span is full: min(q, n) adds.
         rng = np.random.default_rng(4457)
         n = 12
-        q = n // 2
-        sys_ = LtiSystem(rng.standard_normal((n, n)), rng.standard_normal((q, n)))
-        sys_._closure(3)
-        span_adds.clear()
-        state, out = sys_._first_fold(3)
-        assert (state.rank, out.rank) == (n, q)
-        assert Counter(span_adds) == {(q, True): q, (n, True): n}
+        a = rng.standard_normal((n, n))
+        for q in (n // 2, n + 3):
+            sys_ = LtiSystem(a, rng.standard_normal((q, n)))
+            sys_._closure(3)
+            span_adds.clear()
+            acc = reachcore._ReachAccumulator(sys_)
+            acc.include(3)
+            assert (acc.state.rank, acc.out.rank) == (n, min(q, n))
+            assert Counter(span_adds) == {(q, True): min(q, n)}
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_an_exact_solve_makes_one_add_per_state(self, span_adds, seed):
@@ -1181,7 +1222,7 @@ class TestSpanAddCounts:
             order = [int(i0) for i0 in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
             acc = reachcore._ReachAccumulator(sys_)
             for i0 in order:
-                acc = acc.fold(i0)
+                acc.include(i0)
             assert acc.basis_free
             assert acc.cover == functools.reduce(or_, (sys_._reach_bits[i0] for i0 in order))
         assert span_adds == []

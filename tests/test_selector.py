@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_actuators, random_system
+from conftest import copy_accumulator, random_actuators, random_system
 from minreach import (
     EPS_FLOOR_REL,
     EXACT_TOL,
@@ -45,7 +45,7 @@ from minreach import (
 from minreach import reachcore, selector
 from minreach.numkit import RANK_TOL, _SpanBuilder
 from minreach.reachcore import _ReachAccumulator
-from test_reachcore import block_diagonal, permuted
+from test_reachcore import block_diagonal, permuted, twin_blocks
 
 DIAG12 = LtiSystem(np.diag([1.0, 2.0]))
 
@@ -655,8 +655,8 @@ class TestSharedClosureCache:
         assert sys_._reach_bits[1] == (1 << n) - 1 and sys_._full(1)
 
     def test_weighted_subset_reach_builds_one_closure(self, monkeypatch):
-        # Every index's first fold spans the output space, so the first
-        # candidate built certifies the pick for every ball.
+        # Every index's fold into the empty set spans the output space, so
+        # the first candidate built certifies the pick for every ball.
         built = counted_builds(monkeypatch)
         n = 40
         rng = np.random.default_rng(197)
@@ -664,7 +664,7 @@ class TestSharedClosureCache:
         balls = [Ball(sys_.w @ random_target(n, 20 + k), 0.05) for k in range(8)]
         subset_reach(sys_, balls)
         assert built == [0]
-        assert list(sys_._first_folds) == [0]
+        assert list(sys_._closures) == [0]
 
     def test_brute_force_opt_builds_only_the_closures_it_folds(self, monkeypatch):
         # The size-1 walk stops at {1}, which reaches e_1, before it folds
@@ -682,6 +682,28 @@ class TestSharedClosureCache:
         epsilon_a(erdos_renyi(n, 4), random_target(n, 4))
         assert sorted(built) == list(range(n))
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_every_call_leaves_one_fold_table_the_closures(self, weighted):
+        # Besides its reach tables, a system keeps the closures alone:
+        # every fold, trial or set, is made in the caller's own accumulator.
+        n = 12
+        sys_ = erdos_renyi(n, 6)
+        if weighted:
+            sys_ = LtiSystem(sys_.a, np.random.default_rng(6).standard_normal((8, n)))
+        v = random_target(sys_.output_dim, 6)
+        delta = ActuatorSet(n, (3, 7))
+        greedy_eps(sys_, v, 1e-6 * float(v @ v))
+        bisection_exact(sys_, v, 1e-3)
+        subset_reach(sys_, [Ball(v, 0.5), Ball(-v, 0.05)])
+        brute_force_opt(sys_, v, 0.5 * float(v @ v))
+        epsilon_a(sys_, v)
+        residual(sys_, delta, v)
+        is_feasible(sys_, delta, v)
+        reachable_subspace(sys_, delta)
+        assert vars(sys_).keys() - {"a", "w"} == {
+            "_closures", "_reach", "_reach_bits", "_reach_groups"
+        }
+
     def test_system_is_freed_without_the_cycle_collector(self):
         # Every table a solve leaves lives on the system, so dropping the
         # last reference frees it at once; a cache elsewhere would keep it.
@@ -690,10 +712,9 @@ class TestSharedClosureCache:
         v = random_target(20, 5)
         weighted = LtiSystem(unweighted.a, rng.standard_normal((13, 20)))
         balls = [Ball(weighted.w @ random_target(20, k), 0.5) for k in range(3)]
-        # An unweighted system shares no first fold.
         solves = [
             (unweighted, lambda sys_: bisection_exact(sys_, v, 1.0), {"_closures"}),
-            (weighted, lambda sys_: subset_reach(sys_, balls), {"_closures", "_first_folds"}),
+            (weighted, lambda sys_: subset_reach(sys_, balls), {"_closures"}),
         ]
         del unweighted, weighted
         gc.disable()
@@ -709,24 +730,13 @@ class TestSharedClosureCache:
             gc.enable()
 
 
-class TestSharedFirstFolds:
-    """On a weighted system, a fold of one index into the empty set is made
-    once per system and shared by every target, walk and set call. An
-    unweighted system shares none."""
-
-    def test_set_call_after_subset_reach_makes_no_fold(self, include_calls):
-        # Every ball picks index 1 first, and its fold reaches every ball.
-        n = 40
-        rng = np.random.default_rng(197)
-        sys_ = LtiSystem(erdos_renyi(n, 2).a, rng.standard_normal((n // 2, n)))
-        balls = [Ball(sys_.w @ random_target(n, 20 + k), 0.05) for k in range(8)]
-        delta, ball_index = subset_reach(sys_, balls)
-        residual(sys_, delta, balls[ball_index - 1].center)
-        assert delta.indices == (1,)
-        assert include_calls == [0]
+class TestFoldCopies:
+    """A fold of one index into an empty span is a copy of the index's
+    closure, made by each path, walk and set call for itself: the closures,
+    which every call on the system shares, are read and never written."""
 
     @pytest.mark.parametrize("kind", ["er", "blocks", "weighted"])
-    def test_shared_folds_equal_fresh_folds_and_are_read_only(self, kind):
+    def test_a_fold_into_the_empty_set_copies_the_closure(self, kind):
         rng = np.random.default_rng(["er", "blocks", "weighted"].index(kind))
         for seed in range(3):
             n = int(rng.integers(8, 30))
@@ -744,70 +754,58 @@ class TestSharedFirstFolds:
                     q = int(rng.integers(1, n + 3))
                     sys_ = LtiSystem(sys_.a, rng.standard_normal((q, n)))
             if sys_.w is None:
-                # An unweighted fold into the empty set is made in place
-                # and shared by no one: a full closure's is its cover
-                # alone. Its twin with W = I shares its folds.
+                # An unweighted fold of a full closure into the empty set is
+                # its cover alone. Its twin with W = I copies the closure.
                 for i0 in range(n):
                     root = _ReachAccumulator(sys_)
-                    fresh = _ReachAccumulator(sys_)
-                    fresh.include(i0)
-                    assert root.fold(i0) is root
-                    assert root.basis_free == sys_._full(i0) == fresh.basis_free
-                    assert (root.cover, root.rank) == (fresh.cover, fresh.rank)
-                    assert root.cover == sys_._reach_bits[i0]
-                assert not sys_._first_folds
+                    root.include(i0)
+                    assert root.basis_free == sys_._full(i0)
+                    assert (root.cover, root.rank) == (sys_._reach_bits[i0], sys_._closure(i0).rank)
                 sys_ = LtiSystem(sys_.a, np.eye(n))
             for i0 in range(n):
-                acc = _ReachAccumulator(sys_).fold(i0)
-                fresh = _ReachAccumulator(sys_)
-                fresh.include(i0)
-                assert sys_._first_folds[i0] == (acc.state, acc.out)
-                assert _ReachAccumulator(sys_).fold(i0).state is acc.state
-                for shared, own in [(acc.state, fresh.state), (acc.out, fresh.out)]:
-                    if own is None:
-                        assert shared is None
-                        continue
-                    r = own.rank
-                    assert (shared.dim, shared.rank) == (own.dim, r)
-                    assert shared._q[:, :r].tobytes() == own._q[:, :r].tobytes()
-                    with pytest.raises(ValueError):
-                        shared._q[:, r - 1] = 0.0
+                closure = sys_._closure(i0)
+                acc = _ReachAccumulator(sys_)
+                acc.include(i0)
+                assert not np.shares_memory(acc.state._q, closure._q)
+                assert acc.state.rank == closure.rank
+                assert acc.state.span().tobytes() == closure.span().tobytes()
+                # The output span is the range of W on the closure: its rank,
+                # and the projector of an SVD basis of that range.
+                u, sv, _ = np.linalg.svd(sys_.w @ closure.span(), full_matrices=False)
+                u = u[:, sv > 1e-9 * sv[0]]
+                q = acc.out.span()
+                assert q.shape == u.shape
+                assert np.allclose(q @ q.T, u @ u.T, rtol=0.0, atol=1e-9)
 
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_a_path_copies_its_first_fold_once_and_leaves_it_sealed(
-        self, monkeypatch, weighted
-    ):
-        # A weighted path folds its second pick into one copy of the shared
-        # first fold, and every later pick into that copy in place. An
-        # unweighted path folds every pick into its own accumulator in
-        # place, and copies nothing.
-        copies = []
-        copy = _ReachAccumulator.copy
-
-        def counting(acc):
-            copies.append(acc)
-            return copy(acc)
-
-        monkeypatch.setattr(_ReachAccumulator, "copy", counting)
-        sys_, v = ten_permuted_blocks(409, weighted)
-        _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
-        assert len(trace.chosen) == 10
-        if not weighted:
-            assert copies == [] and not sys_._first_folds
-            return
-        first = trace.chosen[0] - 1
-        shared = sys_._first_folds[first]
-        assert len(copies) == 1 and (copies[0].state, copies[0].out) == shared
-        fresh = _ReachAccumulator(sys_)
-        fresh.include(first)
-        for fold, own in zip(shared, (fresh.state, fresh.out)):
-            if own is not None:
-                assert fold.sealed
-                assert (fold.rank, fold.span().tobytes()) == (own.rank, own.span().tobytes())
+    def test_an_unweighted_closure_that_is_not_full_is_copied_into_the_empty_cover(self):
+        # The hub of two twin blocks reaches 9 states with a closure of rank
+        # 5, so its fold into the empty cover leaves the basis-free mode: the
+        # state span is a copy of the closure, and the residual is v less
+        # its projection on it.
+        rng = np.random.default_rng(1931)
+        sys_ = LtiSystem(twin_blocks(rng, 4))
+        hub = sys_.n - 1
+        closure = sys_._closure(hub)
+        assert (closure.rank, sys_._reach_bits[hub].bit_count()) == (5, 9)
+        built = closure.span().tobytes()
+        acc = _ReachAccumulator(sys_)
+        mark = acc.mark()
+        acc.include(hub)
+        assert not acc.basis_free and acc.cover == sys_._reach_bits[hub]
+        assert not np.shares_memory(acc.state._q, closure._q)
+        assert acc.state.span().tobytes() == closure.span().tobytes()
+        v = rng.standard_normal(sys_.n)
+        q = closure.span()
+        r = v - q @ (q.T @ v)
+        assert acc.residual_sq(v) == pytest.approx(float(r @ r), rel=1e-12)
+        # Rolled back, it is the empty set again, and the closure is as built.
+        acc.truncate(mark)
+        assert acc.basis_free and acc.rank == 0 and acc.residual_sq(v) == float(v @ v)
+        assert closure.span().tobytes() == built
 
     def test_a_weighted_path_copies_only_its_accumulator_spans(self, monkeypatch):
-        # The state and output spans of its one accumulator copy: every
+        # One copy, of its first pick's closure into the state span of its
+        # one accumulator: every other fold is made in place, and every
         # fold score adds to the path's own output span and rolls it back.
         copies = []
         copy = _SpanBuilder.copy
@@ -820,37 +818,7 @@ class TestSharedFirstFolds:
         sys_, v = ten_permuted_blocks(409, True)
         _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
         assert len(trace.chosen) == 10
-        assert copies == list(sys_._first_folds[trace.chosen[0] - 1])
-
-    def test_include_into_a_full_shared_fold_raises_without_growing(self):
-        # Index 1's closure is a 7-state block, so its shared fold has rank
-        # 7 in a buffer of 8 columns: the next accepted column would have
-        # to grow the buffer, and a read-only one must refuse to grow.
-        rng = np.random.default_rng(211)
-        a = np.zeros((12, 12))
-        a[:7, :7] = rng.standard_normal((7, 7))
-        a[7:, 7:] = rng.standard_normal((5, 5))
-        acc = _ReachAccumulator(LtiSystem(a, np.eye(12))).fold(0)
-        for fold in (acc.state, acc.out):
-            assert fold.rank + 1 == fold._q.shape[1] < fold.dim
-        q = acc.state._q
-        with pytest.raises(ValueError):
-            acc.include(7)
-        assert (acc.state.rank, acc.state._q) == (7, q)
-        assert not acc.state._q.flags.writeable
-
-    def test_truncating_a_shared_fold_raises_and_keeps_it(self):
-        rng = np.random.default_rng(211)
-        a = np.zeros((12, 12))
-        a[:7, :7] = rng.standard_normal((7, 7))
-        a[7:, 7:] = rng.standard_normal((5, 5))
-        acc = _ReachAccumulator(LtiSystem(a, rng.standard_normal((9, 12)))).fold(0)
-        for fold in (acc.state, acc.out):
-            rank, data = fold.rank, fold.span().tobytes()
-            for target in (0, rank - 1):
-                with pytest.raises(ValueError):
-                    fold.truncate(target)
-            assert (fold.rank, fold.span().tobytes()) == (rank, data)
+        assert copies == [sys_._closure(trace.chosen[0] - 1)]
 
 
 class TestSpanCapacity:
@@ -980,9 +948,11 @@ class TestBruteForceOpt:
     def test_walk_for_size_k_skips_prefixes_that_cannot_reach_k(self, include_calls):
         # Every index carries a part of v, so no set of at most 11 of the 12
         # reaches it. The walk for size k extends a subset S only when the
-        # indices above S's largest can still fill it up to k.
-        # A single index is folded into the empty set once per system, not
-        # once per walk. The output weight keeps the coverage rule out.
+        # indices above S's largest can still fill it up to k, and folds
+        # each subset it keeps once, a single index too. The subsets of s
+        # indices whose largest, m, leaves k - s indices above it number
+        # the sum over m <= n - 1 - (k - s) of C(m, s - 1), which is
+        # C(n - k + s, s). The output weight keeps the coverage rule out.
         n, k_max = 12, 11
         sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)), w=np.eye(n))
         assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
@@ -993,9 +963,10 @@ class TestBruteForceOpt:
             for combo in itertools.combinations(range(n), size)
             if n - 1 - combo[-1] >= k - size
         ]
-        singles = {combo for combo in walked if len(combo) == 1}
-        expected = len(singles) + sum(len(combo) > 1 for combo in walked)
-        assert expected == 8101
+        expected = sum(
+            math.comb(n - k + s, s) for k in range(k_max + 1) for s in range(1, k + 1)
+        )
+        assert expected == len(walked) == 8166
         assert len(include_calls) == expected
 
     def test_walk_for_size_k_skips_subsets_that_cannot_cover_v(self, include_calls):
@@ -1128,7 +1099,7 @@ def plain_walk(sys_, v, k, least=0):
         if i0 == n or size == k or n - i0 < least - size:
             continue
         stack.append((acc, mask, size, i0 + 1))
-        child = acc.copy()
+        child = copy_accumulator(acc)
         child.include(i0)
         child_mask = mask | 1 << i0
         yield child_mask, child.residual_sq(v)
@@ -1184,24 +1155,25 @@ class TestSharedSubsetWalk:
         assert math.isfinite(epsilon_a(sys_, v))
         assert len(include_calls) == expected
 
-    def test_epsilon_a_copies_once_per_two_index_subset(self, monkeypatch):
-        # On a weighted system a single index is a shared first fold, each
-        # two-index subset folds into one copy of it, and every deeper
-        # subset folds into that copy in place and is rolled back. An
-        # unweighted walk folds every subset in place and copies nothing.
+    def test_epsilon_a_copies_one_closure_per_single_index(self, monkeypatch):
+        # The walk folds every subset into its one accumulator in place and
+        # rolls it back. On the W = I twin, each single index's fold into
+        # the empty set copies its closure, and nothing else is copied.
+        # Every closure of the unweighted system is full, so its walk only
+        # grows covers and copies nothing.
         copies = []
-        copy = _ReachAccumulator.copy
+        copy = _SpanBuilder.copy
 
-        def counting(acc):
-            copies.append(acc.state.sealed)
-            return copy(acc)
+        def counting(builder):
+            copies.append(builder)
+            return copy(builder)
 
-        monkeypatch.setattr(_ReachAccumulator, "copy", counting)
+        monkeypatch.setattr(_SpanBuilder, "copy", counting)
         unweighted = cycle_blocks(4, 4, 4)
         v = np.random.default_rng(1733).standard_normal(unweighted.n)
         weighted = LtiSystem(unweighted.a, np.eye(unweighted.n))
         got = epsilon_a(weighted, v)
-        assert len(copies) == math.comb(weighted.n, 2) == 66 and all(copies)
+        assert copies == [weighted._closure(i0) for i0 in range(weighted.n)]
         copies.clear()
         assert epsilon_a(unweighted, v) == pytest.approx(got, rel=1e-12)
         assert copies == []
@@ -1284,32 +1256,32 @@ def masked_er_system(rng, n):
 
 @pytest.fixture
 def built_masks(monkeypatch):
-    """The bitmask of every subset that _ReachAccumulator.fold builds, in
-    call order. Each accumulator keeps a stack of the masks folded into it:
-    a fold pushes one, onto a new accumulator or in place, and `truncate`
-    pops one. An accumulator the walk did not build (its root) has mask 0,
-    as it has again once each fold made into it in place is rolled back.
-    For walks for one size, which share no subtree: a fold whose subtree
-    is shared changed nothing and is not rolled back."""
+    """The bitmask of every subset that _ReachAccumulator.include builds, in
+    call order. Each accumulator keeps a stack of the masks folded into it,
+    which starts at mask 0: a fold pushes one, and `truncate` pops one. For
+    walks for one size, which share no subtree: a fold whose subtree is
+    shared changed nothing and is not rolled back."""
     masks = {}
     alive = []
     built = []
-    fold = _ReachAccumulator.fold
+    include = _ReachAccumulator.include
     truncate = _ReachAccumulator.truncate
 
     def recording(acc, i0):
-        child = fold(acc, i0)
-        mask = (masks.get(id(acc)) or [0])[-1] | 1 << i0
-        alive.append(child)
-        masks.setdefault(id(child), []).append(mask)
-        built.append(mask)
-        return child
+        include(acc, i0)
+        if id(acc) not in masks:
+            # Held, so that no later accumulator reuses its id.
+            alive.append(acc)
+            masks[id(acc)] = [0]
+        stack = masks[id(acc)]
+        stack.append(stack[-1] | 1 << i0)
+        built.append(stack[-1])
 
     def popping(acc, mark):
         truncate(acc, mark)
         masks[id(acc)].pop()
 
-    monkeypatch.setattr(_ReachAccumulator, "fold", recording)
+    monkeypatch.setattr(_ReachAccumulator, "include", recording)
     monkeypatch.setattr(_ReachAccumulator, "truncate", popping)
     return built
 
