@@ -609,6 +609,17 @@ def _subset_residuals(
     share a hull, and each sum is the same in the same order, so every
     decision keeps its bits.
 
+    Lookahead, for a `limit` in a walk for exactly k indices (``least ==
+    k``): a subset of k - 2 indices is not extended by index i when every
+    hull of it, i and one index j above i leaves more than `limit` outside.
+    Those are the hulls the walk tests once i is folded, so the subtree
+    skipped yields its root of k - 1 indices and nothing else; every subset
+    of k indices, and every residual, is the same. A walk with ``least <
+    k`` wants that root for its own residual, and extends it as before,
+    even with no index above i. An index whose reach alone leaves at most
+    `limit` outside completes every subset that ends at or below it, so up
+    to the largest such index no hull is scanned.
+
     Sharing rule: when extending a subset X of `size` indices by index i
     leaves the state rank (_ReachAccumulator.rank) unchanged, the fold
     changed nothing. It added no column, and it did not grow the cover: its
@@ -639,6 +650,22 @@ def _subset_residuals(
         mass = (v * v).tolist()
         # The mass of v outside each hull met so far, by hull.
         outside: dict[int, float] = {}
+
+        # The lookahead's lookup. The hull test in the walk below does the
+        # same inline: a call per test costs about 1% of a lemma walk.
+        def uncovered(hull):
+            if hull not in outside:
+                outside[hull] = sum(m for j, m in enumerate(mass) if not hull >> j & 1)
+            return outside[hull]
+
+        # The size of the subsets the lookahead extends, or -1 for none; and
+        # the largest index whose reach alone leaves at most `limit`
+        # outside, or -1: every subset whose last index is at most it has a
+        # completion, so it needs no scan.
+        ahead = solo = -1
+        if least == k >= 2:
+            ahead = k - 2
+            solo = next((j for j in range(n - 1, -1, -1) if uncovered(reach[j]) <= limit), -1)
     # The residual of each basis-free subset's cover met so far, by cover.
     by_cover: dict[int, float] = {}
 
@@ -659,6 +686,10 @@ def _subset_residuals(
             if limit is not None:
                 hull = acc.cover | reach[i0]
                 if size + 1 < k:
+                    if size == ahead and i0 > solo and all(
+                        uncovered(hull | reach[j]) > limit for j in range(i0 + 1, n)
+                    ):
+                        continue
                     hull |= suffix[i0 + 1]
                 if hull not in outside:
                     outside[hull] = sum(

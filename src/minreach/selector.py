@@ -569,6 +569,11 @@ def brute_force_opt(
     ``||v||^2`` uncovered, with ``TIE_BAND_REL * n * ||v||^2`` of slack for
     rounding (see _subset_residuals). No such subset can have a residual
     of at most `eps`, so the set returned is the one the full walk finds.
+    The walk for size k also leaves unfolded every set of k - 1 indices
+    that no single further index completes, that is, extends to a set
+    whose reach leaves at most `eps` plus the slack uncovered: the walk
+    would skip every extension, and a set of k - 1 indices is no answer
+    of size k.
     """
     if sys.n > N_BRUTE:
         raise CapacityError(

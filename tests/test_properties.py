@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import lstsq_residual_sq
 from minreach import (
     EXACT_TOL,
+    TIE_BAND_REL,
     ActuatorSet,
     Ball,
     LtiSystem,
@@ -31,7 +32,7 @@ from minreach import (
 )
 from minreach.reachcore import _ReachAccumulator, _subset_residuals
 from test_reachcore import fold_greedy
-from test_selector import per_ball_subset_reach, plain_walk, union_outcome
+from test_selector import combinations_oracle, per_ball_subset_reach, plain_walk, union_outcome
 
 #: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
 #: rank decision falls at the absolute tolerance and no squared norm
@@ -201,6 +202,31 @@ def test_brute_force_cardinality_ignores_state_labels(problem, data):
     eps = 1e-6 * float(v @ v)
     opt = brute_force_opt(sys_, v, eps)
     assert brute_force_opt(moved, v[perm], eps).cardinality == opt.cardinality
+
+
+@given(
+    problems(kinds=("blocks", "permuted", "zero", "sparse", "star")),
+    st.sampled_from([0.3, 1e-6]),
+)
+def test_the_search_by_size_finds_what_every_combination_finds(problem, rel):
+    # The walk for size k skips the sets whose reach leaves more than eps
+    # of v uncovered, and the sets of k - 1 that no one further index
+    # completes. Neither holds a set of k indices within eps, so the first
+    # hit, under every cap, and every such set of each size, with its
+    # residual to the bit, are those of the walks that skip nothing.
+    sys_, v = problem
+    n = sys_.n
+    eps = rel * float(v @ v)
+    size = brute_force_opt(sys_, v, eps).cardinality
+    for k_max in (None, size, size - 1)[: 3 if size else 2]:
+        got = brute_force_opt(sys_, v, eps, k_max)
+        want = combinations_oracle(sys_, v, eps, n if k_max is None else k_max)
+        assert (None if got is None else got.indices) == want, k_max
+    limit = eps + TIE_BAND_REL * n * float(v @ v)
+    for k in range(n + 1):
+        got = [(m, r) for m, r in _subset_residuals(sys_, v, k, k, limit) if m.bit_count() == k and r <= eps]
+        want = [(m, r) for m, r in plain_walk(sys_, v, k, k) if m.bit_count() == k and r <= eps]
+        assert repr(got) == repr(want), k
 
 
 def assert_the_walk_is_the_plain_walk(sys_, v):

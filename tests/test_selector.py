@@ -974,14 +974,15 @@ class TestBruteForceOpt:
         # walk for size k keeps a subset of fewer than k indices only when
         # it and every index above its largest cover all 12 states, which
         # holds for the prefixes {1..j} alone; no subset of k < 12 indices
-        # covers them. The walk for size k folds {1..j} for j = 1..k-1; an
-        # unweighted system shares no fold between walks, so {1} is folded
-        # once per walk from k = 2: 1 + ... + 10 = 55.
+        # covers them. Nor does {1..k-1} with one index more, so the walk
+        # for size k folds {1..j} for j = 1..k-2 alone; an unweighted
+        # system shares no fold between walks, so {1} is folded once per
+        # walk from k = 3: 0 + 1 + ... + 9 = 45.
         n, k_max = 12, 11
         sys_ = LtiSystem(np.diag(np.arange(1.0, n + 1)))
         assert brute_force_opt(sys_, np.ones(n), 1e-6, k_max) is None
-        assert len(include_calls) == sum(k - 1 for k in range(2, k_max + 1))
-        assert len(include_calls) == 55
+        assert len(include_calls) == sum(k - 2 for k in range(2, k_max + 1))
+        assert len(include_calls) == 45
 
     def test_rejects_negative_eps(self):
         with pytest.raises(InputError):
@@ -1241,6 +1242,30 @@ def kept_by_coverage(rows, v, limit, k, mask):
     return True
 
 
+def completed(rows, v, limit, k, mask):
+    """Whether the walk for size k folds `mask` as far as the lookahead
+    goes: a set of k - 1 indices only when one index above its largest
+    brings its hull within `limit` of v."""
+    n = len(rows)
+    members = [i0 for i0 in range(n) if mask >> i0 & 1]
+    if len(members) != k - 1:
+        return True
+    hull = 0
+    for i0 in members:
+        hull |= rows[i0]
+    return any(uncovered(v, hull | rows[j]) <= limit for j in range(members[-1] + 1, n))
+
+
+def hub_system(rng, n, hub):
+    """Star with its hub at index `hub`: the hub drives every other state,
+    which share one eigenvalue, so the hub's closure holds e_hub and one
+    direction among the others, and each other index reaches itself."""
+    a = np.diag(np.full(n, 0.5))
+    a[hub, hub] = 1.5
+    a[:, hub] += np.where(np.arange(n) == hub, 0.0, rng.uniform(0.5, 2.0, n))
+    return LtiSystem(a)
+
+
 def bidiagonal_system(rng, n):
     """Lower bidiagonal system: index i reaches states i..n."""
     a = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), -1)
@@ -1352,21 +1377,32 @@ class TestCoveragePrune:
         assert len(found) == 12
         assert any(len(want) >= 2 for want in found)
 
-    @pytest.mark.parametrize("kind", ["weighted", "dense", "lemma1", "lemma2"])
+    @pytest.mark.parametrize(
+        "kind", ["weighted", "dense", "lemma1", "lemma2", "hub", "blocks"]
+    )
     def test_walks_fold_what_the_full_walks_fold_less_what_coverage_rules_out(
         self, kind, built_masks, include_calls
     ):
         rng = np.random.default_rng(1913)
-        fewer = 0
+        fewer = completions_ruled_out = 0
         for case in range(12):
             if kind in ("lemma1", "lemma2"):
                 build = build_lemma1 if kind == "lemma1" else build_lemma2
                 sys_, v = build(random_instance(rng, m_max=5, p_max=4))
                 eps = EXACT_TOL * float(v @ v)
+            elif kind == "hub":
+                # v on the hub's state exceeds eps, so no set without the
+                # hub covers v.
+                n = 4 + case % 6
+                sys_ = hub_system(rng, n, hub=case % n)
+                v = rng.standard_normal(n)
+                eps = EXACT_TOL * float(v @ v)
             else:
                 n = 4 + case % 6
                 if kind == "weighted":
                     sys_ = sparse_block_system(rng, n, weighted=True)
+                elif kind == "blocks":
+                    sys_ = sparse_block_system(rng, n, weighted=False)
                 else:
                     sys_ = random_system(rng, n)
                 v = rng.standard_normal(sys_.output_dim)
@@ -1399,7 +1435,14 @@ class TestCoveragePrune:
             else:
                 rows = reach_rows(sys_.a)
                 limit = eps + TIE_BAND_REL * sys_.n * float(v @ v)
-                kept = [mask for k, mask in full if kept_by_coverage(rows, v, limit, k, mask)]
+                by_hull = [(k, mask) for k, mask in full if kept_by_coverage(rows, v, limit, k, mask)]
+                kept = [mask for k, mask in by_hull if completed(rows, v, limit, k, mask)]
+                if kind != "blocks":
+                    # An index that reaches every state carrying v completes
+                    # every set below it, and the sets above it lie outside
+                    # the hull rule already.
+                    assert kept == [mask for _, mask in by_hull], case
+                completions_ruled_out += len(kept) < len(by_hull)
             assert got_masks == kept, case
             if kind in ("weighted", "dense"):
                 assert got_includes == len(include_calls), case
@@ -1408,6 +1451,45 @@ class TestCoveragePrune:
             include_calls.clear()
         if kind in ("lemma1", "lemma2"):
             assert fewer >= 6
+        if kind == "blocks":
+            assert completions_ruled_out >= 4
+
+    def test_the_search_folds_only_the_answer_on_three_blocks(self, include_calls):
+        # No set of two indices reaches all three blocks, so the walk for
+        # size 2 folds nothing, and the walk for size 3 folds {1} and then
+        # only the prefixes of {1, 5, 9}, which one index completes.
+        sys_ = cycle_blocks(4, 4, 4)
+        v = np.random.default_rng(1931).standard_normal(sys_.n)
+        assert brute_force_opt(sys_, v, 1e-6 * float(v @ v)).indices == (1, 5, 9)
+        assert include_calls == [0, 4, 8]
+        assert sorted(sys_._closures) == [0, 4, 8]
+
+    def test_a_walk_below_k_keeps_the_sets_no_index_completes(self):
+        # A walk that yields sets of fewer than k indices yields them for
+        # their own residuals, completed or not. Index 4 reaches every
+        # state and the others themselves alone: {4} covers v with no index
+        # above it, and each {i} is completed by {i, 4}.
+        n = 4
+        a = np.diag(np.arange(1.0, n + 1))
+        a[: n - 1, n - 1] = 1.0
+        sys_ = LtiSystem(a)
+        v = np.ones(n)
+        limit = 1e-6 + TIE_BAND_REL * n * float(v @ v)
+        got = list(reachcore._subset_residuals(sys_, v, 2, 0, limit))
+        top = 1 << (n - 1)
+        assert [mask for mask, _ in got] == [0, 0b1, 0b1 | top, 0b10, 0b10 | top, 0b100, 0b100 | top, top]
+        assert dict(got)[top] <= 1e-6
+        plain = dict(plain_walk(sys_, v, 2))
+        assert repr(got) == repr([(mask, plain[mask]) for mask, _ in got])
+        # Each index of diag(1, 2, 3) reaches itself alone, and v = ones.
+        # {1} with the indices above it covers v, so the hull rule keeps it,
+        # but {1, 2} and {1, 3} each leave 1 > limit outside: no index
+        # completes {1}, and no index alone comes within the limit.
+        sys_ = LtiSystem(np.diag([1.0, 2.0, 3.0]))
+        v = np.ones(3)
+        got = list(reachcore._subset_residuals(sys_, v, 2, 0, 0.5))
+        assert repr(got) == repr([(0, 3.0), (0b1, 2.0)])
+        assert [mask for mask, _ in reachcore._subset_residuals(sys_, v, 2, 2, 0.5)] == [0]
 
 
 def exhaustive_hitting_set(instance):
