@@ -571,74 +571,96 @@ def transfer_vector(sys: LtiSystem, spec: TransferSpec) -> np.ndarray:
 
 
 def _subset_residuals(
-    sys: LtiSystem, v: np.ndarray, k: int, least: int = 0, limit: float | None = None
+    sys: LtiSystem, v: np.ndarray, k_max: int | None = None, limit: float | None = None
 ) -> Iterator[tuple[int, float]]:
-    """Yield ``(mask, residual_sq)`` of `v` for every subset of at most `k`
-    0-based indices that is a subset of one with at least `least`, keyed by
-    index bitmask. Each residual is the subset's
-    ``_ReachAccumulator.residual_sq(v)``, which takes ``v @ v`` once per
-    subset, and the empty set's is ``v @ v`` itself.
+    """Yield ``(mask, residual_sq)`` of `v` for subsets of 0-based indices,
+    keyed by index bitmask, the empty set first. Each residual is the
+    subset's ``_ReachAccumulator.residual_sq(v)``, and the empty set's is
+    ``v @ v`` itself.
 
-    Subsets are walked depth first, each index included before it is
-    skipped, so the subsets of each size come in lexicographic order. Each
-    subset is its prefix's accumulator with one index folded in place
-    (_ReachAccumulator.include), so each is built at most once per walk; a
-    prefix with too few indices left to reach `least` is not extended. The
-    walk's one accumulator is rolled back to a subset's `mark` once the
-    subset's subtree is walked. A closure is built when the walk first folds
-    its index. A fold stops once the subset's state span fills the states
-    its indices reach (see _ReachAccumulator.include), so a fold that can
-    add no rank makes no `add` call. On an unweighted system a subset whose
-    folds all took full closures is basis-free, and its residual depends on
-    its cover alone: it is taken once per cover and walk.
+    A walk folds each subset into its prefix's accumulator in place
+    (_ReachAccumulator.include), and rolls it back to the subset's `mark`
+    once the subset's subtree is walked. A closure is built when a walk
+    first folds its index, and a fold that can add no rank makes no `add`
+    call (see _ReachAccumulator.include). On an unweighted system a subset
+    whose folds all took full closures is basis-free, and its residual
+    depends on its cover alone: it is taken once per cover and call.
 
-    Coverage rule, for a `limit` on an unweighted system: a subset is
-    neither folded nor yielded, and nor is any subset below it, when the
-    squared mass of `v` outside its hull exceeds `limit`. The hull is the
-    union of the rows of `LtiSystem._reach` of its indices (its prefix's
-    ``_ReachAccumulator.cover`` and its last index's row) and, for a
-    subset of fewer than `k` indices, of every index above its largest.
+    Full walk (``k_max=None``, for epsilon_a): every subset, depth first
+    from one accumulator, each index included before it is skipped.
+    Sharing rule: when extending a subset X by index i leaves the state
+    rank (_ReachAccumulator.rank) unchanged, the fold changed nothing. It
+    added no column, and it did not grow the cover: its first column, e_i,
+    lies outside the span unless i is in the cover, and with i every state
+    i reaches; a basis-free X, whose rank is its cover's popcount, is then
+    left as it is. So X + {i} has X's accumulator to the bit, and its
+    subtree (X + {i} extended by indices above i) does the same arithmetic
+    as X's continuation (X extended by indices above i). That continuation
+    is then walked once, from X, and its ``(mask, residual)`` list yielded
+    twice: first with bit i set, then without, which is the order of the
+    plain walk. An unchanged output rank is not enough: a weighted fold may
+    grow the state span in a direction W kills, and the larger state span
+    changes what later folds add. `limit` is not read.
+
+    By-size walk (integer `k_max`, for brute_force_opt): the subsets of at
+    most `k_max` indices by increasing size, in lexicographic order within
+    a size. Each size k is walked depth first from a fresh accumulator,
+    with no subtree shared; a prefix of fewer than k indices is folded but
+    neither scored nor yielded, and is not extended when too few indices
+    lie above it. Coverage rule, for a `limit` on an unweighted system: a
+    subset is neither folded nor yielded, and nor is any subset below it,
+    when the squared mass of `v` outside its hull exceeds `limit`. The hull
+    is the union of the rows of `LtiSystem._reach` of its indices (its
+    prefix's ``_ReachAccumulator.cover`` and its last index's row) and, for
+    a subset of fewer than k indices, of every index above its largest.
     Every accumulated column is exactly zero outside the reach of its
     subset's indices, so each subset left out has a residual of at least
     that mass less rounding: a caller that passes its threshold plus a
-    rounding slack loses no subset within the threshold. A shared
-    continuation (below) is pruned by X's hull, the smaller one, for both
-    of its copies, which is as sound. With an output weight the output
-    span is not confined to the reach, and `limit` is ignored. The mass
-    outside a hull is summed once per walk and kept by hull: many subsets
-    share a hull, and each sum is the same in the same order, so every
-    decision keeps its bits.
-
-    Lookahead, for a `limit` in a walk for exactly k indices (``least ==
-    k``): a subset of k - 2 indices is not extended by index i when every
-    hull of it, i and one index j above i leaves more than `limit` outside.
-    Those are the hulls the walk tests once i is folded, so the subtree
-    skipped yields its root of k - 1 indices and nothing else; every subset
-    of k indices, and every residual, is the same. A walk with ``least <
-    k`` wants that root for its own residual, and extends it as before,
-    even with no index above i. An index whose reach alone leaves at most
-    `limit` outside completes every subset that ends at or below it, so up
-    to the largest such index no hull is scanned.
-
-    Sharing rule: when extending a subset X of `size` indices by index i
-    leaves the state rank (_ReachAccumulator.rank) unchanged, the fold
-    changed nothing. It added no column, and it did not grow the cover: its
-    first column, e_i, lies outside the span unless i is in the cover, and
-    with i every state i reaches; a basis-free X, whose rank is its cover's
-    popcount, is then left as it is. So X + {i} has X's accumulator to the
-    bit, and its subtree (X + {i} extended by indices above i) does the
-    same arithmetic as X's continuation (X extended by indices above i).
-    That continuation is then walked once, from X, and its ``(mask,
-    residual)`` list yielded twice: first with bit i set, then without,
-    which is the order of the plain walk. It is shared only where the
-    pruning cannot tell the two subtrees apart, ``least <= size`` and
-    ``size + n - i <= k``: always in the full walk, never in a walk for
-    exactly k indices. An unchanged output rank is not enough: a
-    weighted fold may grow the state span in a direction W kills, and the
-    larger state span changes what later folds add.
+    rounding slack loses no subset within the threshold. With an output
+    weight the output span is not confined to the reach, and `limit` is
+    ignored. The mass outside a hull is summed once per call and kept by
+    hull, so every decision keeps its bits. Lookahead: a subset of k - 2
+    indices is not extended by index i when every hull of it, i and one
+    index j above i leaves more than `limit` outside, which are the hulls
+    the walk tests once i is folded. An index whose reach alone leaves at
+    most `limit` outside completes every subset that ends at or below it,
+    so up to the largest such index no hull is scanned.
     """
     n = sys.n
     nv2 = float(v @ v)
+    # The residual of each basis-free subset's cover met so far, by cover.
+    by_cover: dict[int, float] = {}
+
+    def residual_sq(acc):
+        if not acc.basis_free:
+            return acc.residual_sq(v)
+        if acc.cover not in by_cover:
+            by_cover[acc.cover] = acc.residual_sq(v)
+        return by_cover[acc.cover]
+
+    def every(acc, mask, start, res):
+        # Every subset mask + T, T a non-empty set of indices >= start,
+        # where `res` is mask's residual.
+        for i0 in range(start, n):
+            bit = 1 << i0
+            rank, mark = acc.rank, acc.mark()
+            acc.include(i0)
+            if acc.rank == rank:
+                rest = list(every(acc, mask, i0 + 1, res))
+                yield mask | bit, res
+                for sub_mask, sub_res in rest:
+                    yield sub_mask | bit, sub_res
+                yield from rest
+                return
+            child_res = residual_sq(acc)
+            yield mask | bit, child_res
+            yield from every(acc, mask | bit, i0 + 1, child_res)
+            acc.truncate(mark)
+
+    yield 0, nv2
+    if k_max is None:
+        yield from every(_ReachAccumulator(sys), 0, 0, nv2)
+        return
     reach = sys._reach_bits
     if sys.w is not None:
         limit = None
@@ -651,68 +673,39 @@ def _subset_residuals(
         # The mass of v outside each hull met so far, by hull.
         outside: dict[int, float] = {}
 
-        # The lookahead's lookup. The hull test in the walk below does the
-        # same inline: a call per test costs about 1% of a lemma walk.
         def uncovered(hull):
             if hull not in outside:
                 outside[hull] = sum(m for j, m in enumerate(mass) if not hull >> j & 1)
             return outside[hull]
 
-        # The size of the subsets the lookahead extends, or -1 for none; and
-        # the largest index whose reach alone leaves at most `limit`
-        # outside, or -1: every subset whose last index is at most it has a
-        # completion, so it needs no scan.
-        ahead = solo = -1
-        if least == k >= 2:
-            ahead = k - 2
-            solo = next((j for j in range(n - 1, -1, -1) if uncovered(reach[j]) <= limit), -1)
-    # The residual of each basis-free subset's cover met so far, by cover.
-    by_cover: dict[int, float] = {}
-
-    def residual_sq(acc):
-        if not acc.basis_free:
-            return acc.residual_sq(v)
-        if acc.cover not in by_cover:
-            by_cover[acc.cover] = acc.residual_sq(v)
-        return by_cover[acc.cover]
-
-    def extensions(acc, mask, size, start, res):
-        # Every subset mask + T, T a non-empty set of indices >= start,
-        # where `res` is mask's residual.
-        for i0 in range(start, n):
-            if size == k or n - i0 < least - size:
-                return
-            bit = 1 << i0
+    def of_size(acc, mask, size, start, k):
+        # Every subset mask + T of k indices, T a set of indices >= start.
+        for i0 in range(start, n - k + size + 1):
             if limit is not None:
                 hull = acc.cover | reach[i0]
                 if size + 1 < k:
-                    if size == ahead and i0 > solo and all(
+                    if size + 2 == k and i0 > solo and all(
                         uncovered(hull | reach[j]) > limit for j in range(i0 + 1, n)
                     ):
                         continue
                     hull |= suffix[i0 + 1]
-                if hull not in outside:
-                    outside[hull] = sum(
-                        m for j, m in enumerate(mass) if not hull >> j & 1
-                    )
-                if outside[hull] > limit:
+                if uncovered(hull) > limit:
                     continue
-            rank, mark = acc.rank, acc.mark()
+            mark = acc.mark()
             acc.include(i0)
-            if acc.rank == rank and least <= size and size + n - i0 <= k:
-                rest = list(extensions(acc, mask, size, i0 + 1, res))
-                yield mask | bit, res
-                for sub_mask, sub_res in rest:
-                    yield sub_mask | bit, sub_res
-                yield from rest
-                return
-            child_res = residual_sq(acc)
-            yield mask | bit, child_res
-            yield from extensions(acc, mask | bit, size + 1, i0 + 1, child_res)
+            if size + 1 == k:
+                yield mask | 1 << i0, residual_sq(acc)
+            else:
+                yield from of_size(acc, mask | 1 << i0, size + 1, i0 + 1, k)
             acc.truncate(mark)
 
-    yield 0, nv2
-    yield from extensions(_ReachAccumulator(sys), 0, 0, 0, nv2)
+    # The largest index whose reach alone leaves at most `limit` outside, or
+    # -1, found when the walk for size 2 starts.
+    solo = -1
+    for k in range(1, k_max + 1):
+        if k == 2 and limit is not None:
+            solo = next((j for j in range(n - 1, -1, -1) if uncovered(reach[j]) <= limit), -1)
+        yield from of_size(_ReachAccumulator(sys), 0, 0, 0, k)
 
 
 def epsilon_a(sys: LtiSystem, v) -> float:
@@ -739,7 +732,7 @@ def epsilon_a(sys: LtiSystem, v) -> float:
         raise InputError("v: must be non-zero")
     n = sys.n
     res = np.empty(1 << n)
-    for mask, r in _subset_residuals(sys, v, n):
+    for mask, r in _subset_residuals(sys, v):
         res[mask] = r
     feasible = res <= EXACT_TOL * nv2
     # one_step[mask]: adding some index missing from mask makes it feasible.

@@ -279,10 +279,10 @@ def verify_reduction(
     """
     if variant not in ("lemma1", "lemma2", "lemma3"):
         raise InputError(f"variant: expected lemma1, lemma2 or lemma3, got {variant!r}")
-    if instance.m + instance.p + 2 > N_BRUTE:
+    n = instance.m + instance.p + {"lemma1": 1, "lemma2": 2, "lemma3": 0}[variant]
+    if n > N_BRUTE:
         raise CapacityError(
-            f"instance needs n up to {instance.m + instance.p + 2}, "
-            f"beyond the exhaustive cap {N_BRUTE}"
+            f"the {variant} system has n={n}, beyond the exhaustive cap {N_BRUTE}"
         )
     if k_max is not None:
         k_max = as_int(k_max, "k_max")
@@ -291,7 +291,6 @@ def verify_reduction(
     h = len(min_hitting_set(instance))
 
     if variant == "lemma3":
-        n = instance.m + instance.p
         found = _min_cone_cardinality(instance, n if k_max is None else k_max)
         return ReductionReport(
             variant=variant,

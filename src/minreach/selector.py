@@ -151,7 +151,8 @@ class _GreedyPath:
     candidate built late replays the ones that met its group in order, and
     so holds the basis and score it would hold had it been built at the
     start. When a pick's fold leaves the basis-free mode, which it never
-    re-enters, each candidate in ``coord`` is built again that way.
+    re-enters, each candidate in ``coord`` goes back to pending, and is
+    built that way once a pick needs it.
 
     Every pick folds into the path's accumulator in place
     (_ReachAccumulator.include), and a pick that the fold rejects is rolled
@@ -222,9 +223,9 @@ class _GreedyPath:
         residual closure that overlaps them, and rescore; a closure with
         every column absorbed leaves the candidates. A closure whose
         group's support misses D's is skipped without arithmetic. When the
-        pick left the basis-free mode, build each candidate in ``coord``
-        again. Then update the supports, the bounds and the scores in
-        ``coord``."""
+        pick left the basis-free mode, each candidate in ``coord`` is
+        pending again. Then update the supports, the bounds and the scores
+        in ``coord``."""
         d, self.fresh = self.fresh, None
         if d is None:
             return
@@ -254,9 +255,9 @@ class _GreedyPath:
             for i0, (z, _) in self.bases.items():
                 self.scores[i0] = self._fold_score(z)
         if not acc.basis_free:
-            for i0 in np.flatnonzero(self.coord):
-                self.coord[i0] = False
-                self._build(int(i0))
+            self.pending |= self.coord
+            self.scores[self.coord] = -np.inf
+            self.coord[:] = False
         self._bound()
 
     def _absorb(
@@ -559,21 +560,20 @@ def brute_force_opt(
 ) -> ActuatorSet | None:
     """Smallest actuator set with squared residual at most `eps`.
 
-    Enumerates subsets by increasing cardinality, within each cardinality
-    in lexicographic index order, and returns the first hit; None when no
-    subset of size at most `k_max` (default n) succeeds. Exhaustive;
-    requires ``n <= N_BRUTE``.
+    Takes the first hit of the by-size walk of _subset_residuals, which
+    yields subsets by increasing cardinality, within each cardinality in
+    lexicographic index order; None when no subset of size at most `k_max`
+    (default n) succeeds. Exhaustive; requires ``n <= N_BRUTE``.
 
     On an unweighted system the walk for each size skips, unfolded, every
     subset whose reach in the digraph of A leaves more than `eps` of
     ``||v||^2`` uncovered, with ``TIE_BAND_REL * n * ||v||^2`` of slack for
-    rounding (see _subset_residuals). No such subset can have a residual
-    of at most `eps`, so the set returned is the one the full walk finds.
-    The walk for size k also leaves unfolded every set of k - 1 indices
-    that no single further index completes, that is, extends to a set
-    whose reach leaves at most `eps` plus the slack uncovered: the walk
-    would skip every extension, and a set of k - 1 indices is no answer
-    of size k.
+    rounding. No such subset can have a residual of at most `eps`, so the
+    set returned is the one a walk that skips nothing finds. The walk for
+    size k also leaves unfolded every set of k - 1 indices that no single
+    further index completes, that is, extends to a set whose reach leaves
+    at most `eps` plus the slack uncovered: the walk would skip every
+    extension, and a set of k - 1 indices is no answer of size k.
     """
     if sys.n > N_BRUTE:
         raise CapacityError(
@@ -591,14 +591,10 @@ def brute_force_opt(
         if k_max < 0:
             raise InputError(f"k_max: must be non-negative, got {k_max}")
         k_max = min(k_max, n)
-    # One walk per size: the walk interleaves sizes, and a walk capped at
-    # size k can stop at the first hit of size k and skip every prefix that
-    # cannot grow to size k.
     limit = eps + TIE_BAND_REL * n * float(v @ v)
-    for k in range(k_max + 1):
-        for mask, res in _subset_residuals(sys, v, k, k, limit):
-            if mask.bit_count() == k and res <= eps:
-                return ActuatorSet(n, (i0 + 1 for i0 in range(n) if mask >> i0 & 1))
+    for mask, res in _subset_residuals(sys, v, k_max, limit):
+        if res <= eps:
+            return ActuatorSet(n, (i0 + 1 for i0 in range(n) if mask >> i0 & 1))
     return None
 
 

@@ -510,6 +510,15 @@ class TestReduceAndVerify:
         assert report["hitting_set_size"] == 3
         assert report["reach_min_size"] == 3
 
+    def test_verify_accepts_a_lemma1_system_at_the_cap(self, tmp_path):
+        # m + p = 15: the lemma1 system has 16 states, the cap.
+        sets = [[1], [2], [3], [4], [5], [1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]
+        instance = self.instance_path(tmp_path, {"m": 5, "sets": sets})
+        code, out, _ = run_cli(["verify", instance, "--variant", "lemma1"])
+        assert code == 0
+        report = parse_report(out)
+        assert (report["hitting_set_size"], report["reach_min_size"]) == (5, 6)
+
     def test_verify_failure_exit_code(self, tmp_path, monkeypatch):
         from minreach import ReductionReport
 

@@ -32,7 +32,7 @@ from minreach import (
 )
 from minreach.reachcore import _ReachAccumulator, _subset_residuals
 from test_reachcore import fold_greedy
-from test_selector import combinations_oracle, per_ball_subset_reach, plain_walk, union_outcome
+from test_selector import by_size, combinations_oracle, per_ball_subset_reach, plain_walk, union_outcome
 
 #: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
 #: rank decision falls at the absolute tolerance and no squared norm
@@ -212,8 +212,8 @@ def test_the_search_by_size_finds_what_every_combination_finds(problem, rel):
     # The walk for size k skips the sets whose reach leaves more than eps
     # of v uncovered, and the sets of k - 1 that no one further index
     # completes. Neither holds a set of k indices within eps, so the first
-    # hit, under every cap, and every such set of each size, with its
-    # residual to the bit, are those of the walks that skip nothing.
+    # hit, under every cap, and every such set, by size and with its
+    # residual to the bit, are those of the plain walk.
     sys_, v = problem
     n = sys_.n
     eps = rel * float(v @ v)
@@ -223,25 +223,25 @@ def test_the_search_by_size_finds_what_every_combination_finds(problem, rel):
         want = combinations_oracle(sys_, v, eps, n if k_max is None else k_max)
         assert (None if got is None else got.indices) == want, k_max
     limit = eps + TIE_BAND_REL * n * float(v @ v)
-    for k in range(n + 1):
-        got = [(m, r) for m, r in _subset_residuals(sys_, v, k, k, limit) if m.bit_count() == k and r <= eps]
-        want = [(m, r) for m, r in plain_walk(sys_, v, k, k) if m.bit_count() == k and r <= eps]
-        assert repr(got) == repr(want), k
+    got = [(m, r) for m, r in _subset_residuals(sys_, v, n, limit) if r <= eps]
+    want = [(m, r) for m, r in by_size(plain_walk(sys_, v), n) if r <= eps]
+    assert repr(got) == repr(want)
 
 
 def assert_the_walk_is_the_plain_walk(sys_, v):
-    n = sys_.n
-    for k, least in [(n, 0)] + [(k, k) for k in range(n + 1)]:
-        got = list(_subset_residuals(sys_, v, k, least))
-        assert repr(got) == repr(list(plain_walk(sys_, v, k, least))), (k, least)
+    plain = list(plain_walk(sys_, v))
+    assert repr(list(_subset_residuals(sys_, v))) == repr(plain)
+    for k_max in range(sys_.n + 1):
+        got = list(_subset_residuals(sys_, v, k_max))
+        assert repr(got) == repr(by_size(plain, k_max)), k_max
 
 
 @given(st.one_of(problems(), selector_problems()))
 def test_the_rolled_back_walk_is_the_plain_walk(problem):
     # The walk folds each subset into its prefix's accumulator in place
     # and rolls it back; the plain walk folds each one into a copy of its
-    # prefix's. Both yield the same pairs in the same order, to the bit, in
-    # the full walk and in the walk for each size.
+    # prefix's. Both yield the same pairs, to the bit: in the same order in
+    # the full walk, and by size in the by-size walk under each cap.
     assert_the_walk_is_the_plain_walk(*problem)
 
 

@@ -830,8 +830,9 @@ class TestCertifiedPicks:
     def test_a_path_that_leaves_the_basis_free_mode_rebuilds_its_coverage_scores(self):
         # Built at the start, each index of a block has a full closure and
         # is scored by coverage. The hub's pick leaves the basis-free mode,
-        # and each is then built from its closure, replaying every pick, as
-        # a candidate built only after the pick is: same basis, same score.
+        # and each goes back to pending. Built then from its closure,
+        # replaying every pick, it is a candidate built only after the pick:
+        # same basis, same score.
         rng = np.random.default_rng(1831)
         rebuilt = 0
         for size in (2, 3, 4, 5, 6):
@@ -854,6 +855,10 @@ class TestCertifiedPicks:
                 path.absorb_fresh()
             assert early.chosen == late.chosen and m - 1 in early.chosen
             assert not early.coord.any() and not late.coord.any()
+            assert not coord & set(early.bases)
+            for i0 in sorted(coord):
+                if early.pending[i0]:
+                    early._build(i0)
             for i0, (z, s) in early.bases.items():
                 if late.pending[i0]:
                     late._build(i0)

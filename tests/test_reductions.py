@@ -21,6 +21,8 @@ from minreach import (
 )
 
 SINGLETON = HittingSetInstance(m=1, sets=((1,),))
+#: Every singleton of 1..5 and the five-cycle's edges: m + p = 15, h = 5.
+FIVE_AND_A_CYCLE = ((1,), (2,), (3,), (4,), (5,), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 
 
 def random_instance(rng, m_max=4, p_max=3):
@@ -320,6 +322,17 @@ class TestVerifyReduction:
         )
         with pytest.raises(CapacityError):
             verify_reduction(big, "lemma1")
+
+    def test_the_cap_is_each_variant_own_state_count(self):
+        # m + p = 15: lemma1 builds 16 states, lemma3 15 and lemma2 17, so
+        # lemma2 alone is past the cap of 16.
+        instance = HittingSetInstance(m=5, sets=FIVE_AND_A_CYCLE)
+        report = verify_reduction(instance, "lemma1")
+        assert (report.hitting_set_size, report.reach_min_size) == (5, 6)
+        assert report.controllable_at_optimum is True and report.passed
+        assert verify_reduction(instance, "lemma3").passed
+        with pytest.raises(CapacityError, match=r"\bn=17\b"):
+            verify_reduction(instance, "lemma2")
 
     def test_lemma1_optimum_is_controllable(self):
         rng = np.random.default_rng(199)

@@ -860,7 +860,7 @@ class TestSpanCapacity:
                 greedy_eps(sys_, v, 1e-3 * float(v @ v))
                 bisection_exact(LtiSystem(sys_.a, sys_.w), v, 1.0)
                 if n == 12:
-                    list(reachcore._subset_residuals(sys_, v, n))
+                    list(reachcore._subset_residuals(sys_, v))
         assert any(narrow) and not all(narrow)
 
     def test_greedy_peak_memory_follows_the_closure_ranks(self):
@@ -1087,24 +1087,33 @@ class TestExhaustiveOraclesMatchReferences:
         assert finite >= 7
 
 
-def plain_walk(sys_, v, k, least=0):
-    """Reference for _subset_residuals: the depth-first walk that shares no
-    subtree. Each subset is its prefix's accumulator copied and extended
-    by one index, from an explicit stack of subsets still to extend."""
+def plain_walk(sys_, v):
+    """Reference for _subset_residuals: the depth-first walk over every
+    subset that shares no subtree. Each subset is its prefix's accumulator
+    copied and extended by one index, from an explicit stack of subsets
+    still to extend."""
     n = sys_.n
     root = _ReachAccumulator(sys_)
     yield 0, root.residual_sq(v)
-    stack = [(root, 0, 0, 0)]
+    stack = [(root, 0, 0)]
     while stack:
-        acc, mask, size, i0 = stack.pop()
-        if i0 == n or size == k or n - i0 < least - size:
+        acc, mask, i0 = stack.pop()
+        if i0 == n:
             continue
-        stack.append((acc, mask, size, i0 + 1))
+        stack.append((acc, mask, i0 + 1))
         child = copy_accumulator(acc)
         child.include(i0)
         child_mask = mask | 1 << i0
         yield child_mask, child.residual_sq(v)
-        stack.append((child, child_mask, size + 1, i0 + 1))
+        stack.append((child, child_mask, i0 + 1))
+
+
+def by_size(pairs, k_max):
+    """The pairs of at most `k_max` indices, by size, and within a size in
+    the order given, which for the plain walk is lexicographic: the order
+    of the by-size walk of _subset_residuals."""
+    pairs = list(pairs)
+    return [pair for k in range(k_max + 1) for pair in pairs if pair[0].bit_count() == k]
 
 
 def cycle_blocks(*sizes):
@@ -1121,8 +1130,9 @@ def cycle_blocks(*sizes):
 
 
 class TestSharedSubsetWalk:
-    """The walk shares the subtree of a fold that adds nothing, and yields
-    what the plain walk yields, to the bit and in the same order."""
+    """The full walk shares the subtree of a fold that adds nothing, and
+    yields what the plain walk yields, to the bit and in the same order;
+    the by-size walk yields the plain walk's subsets by size."""
 
     def test_walk_matches_the_plain_walk(self):
         rng = np.random.default_rng(1709)
@@ -1139,11 +1149,12 @@ class TestSharedSubsetWalk:
             else:
                 sys_ = sparse_block_system(rng, n, weighted=kind == "weighted")
             v = rng.standard_normal(sys_.output_dim)
-            walks = [(n, 0), (2, 0), (n, 1)] + [(k, k) for k in range(n + 1)]
-            for k, least in walks:
-                got = list(reachcore._subset_residuals(sys_, v, k, least))
-                want = list(plain_walk(sys_, v, k, least))
-                assert repr(got) == repr(want), (case, kind, k, least)
+            plain = list(plain_walk(sys_, v))
+            got = list(reachcore._subset_residuals(sys_, v))
+            assert repr(got) == repr(plain), (case, kind)
+            for k_max in range(n + 1):
+                got = list(reachcore._subset_residuals(sys_, v, k_max))
+                assert repr(got) == repr(by_size(plain, k_max)), (case, kind, k_max)
 
     @pytest.mark.parametrize(
         "sizes, expected", [((4, 4, 4), 310), ((4, 3, 3), 160)]
@@ -1201,10 +1212,10 @@ class TestSharedSubsetWalk:
         a[:, 1] = [1.0, 0.0, t]
         sys_ = LtiSystem(a, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.1]])
         v = np.array([0.0, 1.0])
-        res = dict(reachcore._subset_residuals(sys_, v, 3))
+        res = dict(reachcore._subset_residuals(sys_, v))
         assert res[0b010] == 1.0
         assert res[0b011] == 0.0
-        assert repr(sorted(res.items())) == repr(sorted(plain_walk(sys_, v, 3)))
+        assert repr(sorted(res.items())) == repr(sorted(plain_walk(sys_, v)))
 
 
 def reach_rows(a):
@@ -1284,7 +1295,7 @@ def built_masks(monkeypatch):
     """The bitmask of every subset that _ReachAccumulator.include builds, in
     call order. Each accumulator keeps a stack of the masks folded into it,
     which starts at mask 0: a fold pushes one, and `truncate` pops one. For
-    walks for one size, which share no subtree: a fold whose subtree is
+    the by-size walk, which shares no subtree: a fold whose subtree is
     shared changed nothing and is not rolled back."""
     masks = {}
     alive = []
@@ -1412,21 +1423,16 @@ class TestCoveragePrune:
             got_masks, got_includes = list(built_masks), len(include_calls)
             built_masks.clear()
             include_calls.clear()
-            # The parent's walks: one per size, no limit, on a fresh twin.
+            # The by-size walk with no limit, on a fresh twin, up to its first
+            # hit. With no limit every fold of the walk for size k leads to a
+            # subset of k indices, so each mask built belongs to the walk for
+            # the size of the next subset yielded.
             twin = LtiSystem(sys_.a, sys_.w)
-            full = []
-            for k in range(k_max + 1):
-                start = len(built_masks)
-                hit = next(
-                    (
-                        mask
-                        for mask, res in reachcore._subset_residuals(twin, v, k, k)
-                        if mask.bit_count() == k and res <= eps
-                    ),
-                    None,
-                )
-                full += [(k, mask) for mask in built_masks[start:]]
-                if hit is not None:
+            full, hit = [], None
+            for mask, res in reachcore._subset_residuals(twin, v, k_max):
+                full += [(mask.bit_count(), built) for built in built_masks[len(full):]]
+                if res <= eps:
+                    hit = mask
                     break
             want = None if hit is None else tuple(i0 + 1 for i0 in range(k_max) if hit >> i0 & 1)
             assert (None if got is None else got.indices) == want, case
@@ -1465,31 +1471,39 @@ class TestCoveragePrune:
         assert sorted(sys_._closures) == [0, 4, 8]
 
     def test_a_walk_below_k_keeps_the_sets_no_index_completes(self):
-        # A walk that yields sets of fewer than k indices yields them for
-        # their own residuals, completed or not. Index 4 reaches every
-        # state and the others themselves alone: {4} covers v with no index
-        # above it, and each {i} is completed by {i, 4}.
+        # The lookahead drops a set of k - 1 indices from the walk for size
+        # k only; the walk for its own size yields it. Each index of
+        # diag(1, 2, 3) reaches itself alone, and v = (0, 1, 1). {2, 3}
+        # covers v, and no index above 3 completes it; no index alone comes
+        # within the limit, so the lookahead scans every hull. A lookahead
+        # one level deeper would drop {2, 3} and {1, 2, 3}.
+        sys_ = LtiSystem(np.diag([1.0, 2.0, 3.0]))
+        v = np.array([0.0, 1.0, 1.0])
+        got = list(reachcore._subset_residuals(sys_, v, 3, 0.5))
+        assert repr(got) == repr([(0, 2.0), (0b110, 0.0), (0b111, 0.0)])
+        plain = dict(plain_walk(sys_, v))
+        assert repr(got) == repr([(mask, plain[mask]) for mask, _ in got])
+        # Index 4 reaches every state and the others themselves alone, and
+        # v = ones: {4} covers v with no index above it, and each {i} is
+        # completed by {i, 4} alone.
         n = 4
         a = np.diag(np.arange(1.0, n + 1))
         a[: n - 1, n - 1] = 1.0
         sys_ = LtiSystem(a)
         v = np.ones(n)
         limit = 1e-6 + TIE_BAND_REL * n * float(v @ v)
-        got = list(reachcore._subset_residuals(sys_, v, 2, 0, limit))
+        got = list(reachcore._subset_residuals(sys_, v, 2, limit))
         top = 1 << (n - 1)
-        assert [mask for mask, _ in got] == [0, 0b1, 0b1 | top, 0b10, 0b10 | top, 0b100, 0b100 | top, top]
+        assert [mask for mask, _ in got] == [0, top, 0b1 | top, 0b10 | top, 0b100 | top]
         assert dict(got)[top] <= 1e-6
-        plain = dict(plain_walk(sys_, v, 2))
+        plain = dict(plain_walk(sys_, v))
         assert repr(got) == repr([(mask, plain[mask]) for mask, _ in got])
-        # Each index of diag(1, 2, 3) reaches itself alone, and v = ones.
-        # {1} with the indices above it covers v, so the hull rule keeps it,
-        # but {1, 2} and {1, 3} each leave 1 > limit outside: no index
-        # completes {1}, and no index alone comes within the limit.
+        # With v = ones, {1} with the indices above it covers v, so the hull
+        # rule keeps it, but {1, 2} and {1, 3} each leave 1 > limit outside:
+        # no index completes {1}, and the walk for size 2 drops it.
         sys_ = LtiSystem(np.diag([1.0, 2.0, 3.0]))
         v = np.ones(3)
-        got = list(reachcore._subset_residuals(sys_, v, 2, 0, 0.5))
-        assert repr(got) == repr([(0, 3.0), (0b1, 2.0)])
-        assert [mask for mask, _ in reachcore._subset_residuals(sys_, v, 2, 2, 0.5)] == [0]
+        assert [mask for mask, _ in reachcore._subset_residuals(sys_, v, 2, 0.5)] == [0]
 
 
 def exhaustive_hitting_set(instance):
