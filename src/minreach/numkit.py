@@ -172,7 +172,8 @@ def mat_exp(a, t: float) -> np.ndarray:
         approximation.
     """
     # Imported here: scipy.linalg takes most of the package's import time,
-    # and only a transfer from a non-zero x0 needs it.
+    # and only a transfer from a non-zero x0 or a fullness verdict
+    # (reachcore._certified_full) needs it.
     import scipy.linalg
 
     a = as_square(a, "a")

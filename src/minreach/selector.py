@@ -118,10 +118,11 @@ class _GreedyPath:
     state directions that meets it, so i's residual closure is exactly
     zero outside it. The indices of a group reach the same states
     (LtiSystem._reach_groups), so they share one row of ``support``, one
-    row sum ``sums[i]`` of r^2 over it and one flag in each ``meets``;
-    ``group[i]`` is i's group. A weighted path bounds every score by
-    ``||r||^2 * (1 + _BOUND_SLACK_REL * n)``. ``scores[i]`` is the gain for
-    `v` of folding i in; scores are -inf for candidates pending or gone.
+    row sum of r^2 over it (``row_sums``, by group; ``sums[i]`` is i's) and
+    one flag in each ``meets``; ``group[i]`` is i's group. A weighted path
+    bounds every score by ``||r||^2 * (1 + _BOUND_SLACK_REL * n)``.
+    ``scores[i]`` is the gain for `v` of folding i in; scores are -inf for
+    candidates pending or gone.
 
     An unweighted path has two modes, those of its accumulator
     (_ReachAccumulator.basis_free).
@@ -163,8 +164,8 @@ class _GreedyPath:
     ``{res!r}`` for the last residual.
     """
 
-    __slots__ = ("v", "band", "acc", "group", "support", "pending", "sums",
-                 "bounds", "coord", "bases", "scores", "blocks", "r", "fresh",
+    __slots__ = ("v", "band", "acc", "group", "support", "pending", "row_sums",
+                 "sums", "bounds", "coord", "bases", "scores", "blocks", "r", "fresh",
                  "chosen", "residuals", "stuck")
 
     def __init__(self, sys: LtiSystem, v: np.ndarray):
@@ -203,16 +204,24 @@ class _GreedyPath:
         k = next(k for k, res in enumerate(self.residuals) if res <= eps)
         return self.chosen[:k], self.residuals[: k + 1]
 
-    def _bound(self) -> None:
+    def _bound(self, meets: np.ndarray | None = None) -> None:
         """Bound the score of every pending candidate by the residual r,
-        and score the candidates in ``coord`` by their row sums."""
+        and score the candidates in ``coord`` by their row sums. With
+        `meets`, the groups the last pick of a basis-free path met, only
+        their rows are summed again: r changed only on the states the pick
+        newly covered, which no other group's support holds."""
         r2 = self.r * self.r
         n = self.group.shape[0]
         slack = 1.0 + _BOUND_SLACK_REL * n
         if self.acc.out is None:
             # A row sum, not a product with BLAS, whose kernels may round
-            # equal rows differently: equal supports keep equal bounds.
-            self.sums = np.where(self.support, r2, 0.0).sum(axis=1)[self.group]
+            # equal rows differently: equal supports keep equal bounds. A
+            # row's sum has the same bits however many rows are summed.
+            if meets is None:
+                self.row_sums = np.where(self.support, r2, 0.0).sum(axis=1)
+            else:
+                self.row_sums[meets] = np.where(self.support[meets], r2, 0.0).sum(axis=1)
+            self.sums = self.row_sums[self.group]
             self.bounds = self.sums * slack
             self.scores[self.coord] = self.sums[self.coord]
         else:
@@ -258,7 +267,7 @@ class _GreedyPath:
             self.pending |= self.coord
             self.scores[self.coord] = -np.inf
             self.coord[:] = False
-        self._bound()
+        self._bound(meets if acc.basis_free else None)
 
     def _absorb(
         self, i0: int, d: np.ndarray, builder: _SpanBuilder, r: np.ndarray
@@ -300,16 +309,17 @@ class _GreedyPath:
 
     def _build(self, i0: int) -> None:
         """Make pending candidate i0's score: on a basis-free path with a
-        full closure, its row sum; otherwise from its residual closure, made
-        from its closure by replaying every earlier pick's directions in
-        order."""
+        full closure, its row sum, with no closure built when the verdict is
+        certified (LtiSystem._full); otherwise from its residual closure,
+        made from its closure by replaying every earlier pick's directions
+        in order."""
         sys = self.acc.sys
-        closure = sys._closure(i0)
         self.pending[i0] = False
         if self.acc.basis_free and sys._full(i0):
             self.coord[i0] = True
             self.scores[i0] = self.sums[i0]
             return
+        closure = sys._closure(i0)
         self.bases[i0] = (closure.span(), np.ones(closure.rank))
         if self.acc.out is None:
             self.scores[i0] = closure.project_norm_sq(self.v)
@@ -412,9 +422,10 @@ def greedy_eps(sys: LtiSystem, v, eps: float) -> tuple[ActuatorSet, GreedyTrace]
     ``TIE_BAND_REL * n * ||v||^2`` of the largest tie, and ties go to the
     smallest index. The threshold is absolute (same units as
     ``||v||^2``). The run is the prefix, up to the first residual at most
-    `eps`, of the one greedy path for `v`. A candidate's closure is built
-    only when the pick cannot be certified without it, and at most once per
-    system.
+    `eps`, of the one greedy path for `v`. A candidate is scored only when
+    the pick cannot be certified without it, and its closure is built at
+    most once per system; on an unweighted system, not at all while the
+    path is basis-free and the closure is certified full (LtiSystem._full).
 
     Returns the selected set and the pick-by-pick trace.
     """

@@ -30,7 +30,12 @@ from minreach import (
     residual,
     subset_reach,
 )
-from minreach.reachcore import _ReachAccumulator, _subset_residuals
+from minreach.reachcore import (
+    _certified_full,
+    _index_closure,
+    _ReachAccumulator,
+    _subset_residuals,
+)
 from test_reachcore import fold_greedy
 from test_selector import by_size, combinations_oracle, per_ball_subset_reach, plain_walk, union_outcome
 
@@ -308,6 +313,20 @@ def reached(a, indices):
                 seen.add(int(k))
                 frontier.append(int(k))
     return sum(1 << j for j in seen)
+
+
+@given(state_matrices(max_n=8))
+def test_a_certified_closure_is_full(a):
+    # The Hessenberg certificate certifies an index only when the sweep of
+    # its closure reaches every state the index reaches, and the verdict of
+    # an index it declines is the sweep's.
+    sys_ = LtiSystem(a)
+    for i0 in range(sys_.n):
+        cap = sys_._reach_bits[i0].bit_count()
+        full = _index_closure(sys_.a, i0, cap).rank == cap
+        if _certified_full(sys_.a, sys_._reach[i0], i0):
+            assert full
+        assert sys_._full(i0) == full
 
 
 @given(problems(), st.data())

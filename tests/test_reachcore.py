@@ -4,6 +4,7 @@ exact one-step relaxation threshold."""
 
 import functools
 import math
+import tracemalloc
 from collections import Counter, deque
 from operator import or_
 
@@ -16,12 +17,15 @@ from minreach import (
     CapacityError,
     DimensionError,
     EXACT_TOL,
+    HittingSetInstance,
     InputError,
     LtiSystem,
     TIE_BAND_REL,
     TransferSpec,
     UnsupportedOperationError,
     bisection_exact,
+    build_lemma1,
+    build_lemma2,
     epsilon_a,
     erdos_renyi,
     is_controllable,
@@ -1209,11 +1213,17 @@ class TestSpanAddCounts:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_an_exact_solve_makes_one_add_per_state(self, span_adds, seed):
-        # One closure of rank n; it is full, so the first pick's fold is
-        # its cover, with no add.
+        # Every closure is certified full with no sweep, so the solve makes
+        # no add, and the first pick's fold is its cover. Each closure the
+        # sweep builds has rank n, with one add per state.
         n = 50
-        bisection_exact(erdos_renyi(n, seed), random_target(n, seed), 1.0)
-        assert Counter(span_adds) == {(n, True): n}
+        sys_ = erdos_renyi(n, seed)
+        bisection_exact(sys_, random_target(n, seed), 1.0)
+        assert span_adds == []
+        for i0 in range(n):
+            sys_._closure(i0)
+            assert Counter(span_adds) == {(n, True): n}
+            span_adds.clear()
 
     def test_a_coordinate_fold_makes_no_add(self, span_adds):
         # Every closure of a Gaussian block system is full, so every fold,
@@ -1231,3 +1241,97 @@ class TestSpanAddCounts:
             assert acc.basis_free
             assert acc.cover == functools.reduce(or_, (sys_._reach_bits[i0] for i0 in order))
         assert span_adds == []
+
+
+class TestFullnessCertificate:
+    """`LtiSystem._full` takes a certified verdict from the Hessenberg
+    reduction (reachcore._certified_full) with no closure built, and builds
+    the closure when the certificate declines. The certificate is judged
+    against the Gram-Schmidt sweep (reachcore._index_closure)."""
+
+    def systems(self):
+        """2/n-sparse and 20%-dense lower-triangular Gaussian systems, the
+        lemma1 and lemma2 systems of three hitting-set instances, and an
+        Erdos-Renyi system scaled by 1e-6, on which the absolute part of
+        the absorb tolerance makes the certificate decline full closures."""
+        rng = np.random.default_rng(2610)
+        for _ in range(12):
+            n = int(rng.integers(4, 40))
+            yield rng.standard_normal((n, n)) * (rng.random((n, n)) < 2 / n)
+            yield np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2))
+        for m, sets in [
+            (4, [(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)]),
+            (5, [(1,), (2,), (3,), (4,), (5,), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+            (3, [(1, 2, 3), (2,), (3,)]),
+        ]:
+            instance = HittingSetInstance(m, sets)
+            yield build_lemma1(instance)[0].a
+            yield build_lemma2(instance)[0].a
+        yield 1e-6 * erdos_renyi(30, 5).a
+
+    def test_no_certified_closure_is_not_full(self):
+        seen = Counter()
+        for a in self.systems():
+            sys_ = LtiSystem(a)
+            for i0 in range(sys_.n):
+                cap = sys_._reach_bits[i0].bit_count()
+                full = reachcore._index_closure(sys_.a, i0, cap).rank == cap
+                certified = reachcore._certified_full(sys_.a, sys_._reach[i0], i0)
+                assert full or not certified
+                assert sys_._full(i0) == full
+                seen[certified, full] += 1
+        # Certified closures, closures that are not full, and full closures
+        # that the certificate declines are all met.
+        assert seen[True, True] and seen[False, False] and seen[False, True]
+
+    def test_the_declined_reproducers_keep_their_answers(self):
+        # Index 1 of this lower-triangular system reaches 18 states, and its
+        # sweep accepts more directions than A's zero pattern allows. The
+        # certificate declines it, so its answers stay the sweep's.
+        rng = np.random.default_rng(16)
+        a = np.tril(rng.standard_normal((30, 30)) * (rng.random((30, 30)) < 0.2))
+        sys_ = LtiSystem(a)
+        assert not reachcore._certified_full(sys_.a, sys_._reach[0], 0)
+        sweep = reachcore._index_closure(sys_.a, 0, 18)
+        assert (sys_._reach_bits[0].bit_count(), sys_._full(0)) == (18, False)
+        basis = reachable_subspace(sys_, ActuatorSet(30, [1]))
+        assert basis.columns.tobytes() == sweep.span().tobytes()
+        # Scaled this far down, star(4) has a leaf's second column absorbed
+        # by the absolute part of the absorb tolerance, so the sweep finds
+        # each leaf's closure not full, and the certificate declines it.
+        for scale in (1e-11, 2.0**-36):
+            sys_ = LtiSystem(scale * star(4).a)
+            certified = [reachcore._certified_full(sys_.a, sys_._reach[i0], i0) for i0 in range(5)]
+            assert certified == [True, False, False, False, False]
+            assert [sys_._full(i0) for i0 in range(5)] == certified
+            assert [sys_._closure(i0).rank for i0 in range(5)] == [1] * 5
+            assert not is_controllable(sys_, ActuatorSet(5, [2, 3, 4, 5]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_certificate_reads_only_the_rows_of_its_states(self, order):
+        # A 5-state closure of a 1,000-state block system: the submatrix is
+        # gathered from 5 rows of A (40 kB), never from a copy of all of A
+        # (8 MB), whatever A's memory order.
+        rng = np.random.default_rng(2615)
+        n = 1000
+        a = np.zeros((n, n), order=order)
+        for lo in range(0, n, 5):
+            a[lo : lo + 5, lo : lo + 5] = rng.standard_normal((5, 5))
+        sys_ = LtiSystem(a)
+        row = sys_._reach[502]
+        tracemalloc.start()
+        try:
+            certified = reachcore._certified_full(sys_.a, row, 502)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certified
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_a_matrix_whose_norms_overflow_is_declined_quietly(self, scale):
+        # The suite turns a RuntimeWarning into an error.
+        sys_ = LtiSystem(scale * erdos_renyi(30, 3).a)
+        for i0 in range(sys_.n):
+            assert not reachcore._certified_full(sys_.a, sys_._reach[i0], i0)
+

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import copy_accumulator, random_actuators, random_system
 from minreach import (
@@ -620,19 +621,26 @@ class TestSharedClosureCache:
 
     def test_a_permuted_block_path_builds_one_closure_per_pick(self, monkeypatch):
         # Every index of a block reaches the whole block, so its group's
-        # bound is the residual's mass on the block, and the first closure
-        # built in the heaviest block certifies the pick.
+        # bound is the residual's mass on the block, and the first candidate
+        # scored in the heaviest block certifies the pick. Its closure is
+        # certified full, so one verdict per pick is asked and no closure
+        # is built.
         built = counted_builds(monkeypatch)
         sys_, v = ten_permuted_blocks(401)
         _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
         assert len(trace.chosen) == 10
-        assert built == [i - 1 for i in trace.chosen]
+        assert built == []
+        assert list(sys_._verdicts) == [i - 1 for i in trace.chosen]
 
     @pytest.mark.parametrize("n", [25, 50, 100, 300])
     def test_exact_solve_on_erdos_renyi_builds_one_closure(self, monkeypatch, n):
+        # One verdict is asked, of index 0, and it is certified with no
+        # closure built.
         built = counted_builds(monkeypatch)
-        bisection_exact(erdos_renyi(n, 1), random_target(n, 1), 1.0)
-        assert built == [0]
+        sys_ = erdos_renyi(n, 1)
+        bisection_exact(sys_, random_target(n, 1), 1.0)
+        assert built == []
+        assert sys_._verdicts == {0: True}
 
     @pytest.mark.parametrize(
         "call",
@@ -645,13 +653,15 @@ class TestSharedClosureCache:
         ids=["residual", "is_feasible", "reachable_subspace", "is_controllable"],
     )
     def test_set_calls_build_only_their_own_closures(self, monkeypatch, call):
-        # Index 2 reaches every state and its closure is full, so the fold
-        # of index 5 into its cover changes nothing and builds no closure.
+        # Index 2 reaches every state and its closure is certified full, so
+        # its fold builds no closure, and the fold of index 5 into its cover
+        # changes nothing and asks for no verdict.
         built = counted_builds(monkeypatch)
         n = 12
         sys_ = erdos_renyi(n, 4)
         call(sys_, ActuatorSet(n, (2, 5)), random_target(n, 4))
-        assert built == [1]
+        assert built == []
+        assert sys_._verdicts == {1: True}
         assert sys_._reach_bits[1] == (1 << n) - 1 and sys_._full(1)
 
     def test_weighted_subset_reach_builds_one_closure(self, monkeypatch):
@@ -668,24 +678,58 @@ class TestSharedClosureCache:
 
     def test_brute_force_opt_builds_only_the_closures_it_folds(self, monkeypatch):
         # The size-1 walk stops at {1}, which reaches e_1, before it folds
-        # any other index.
+        # any other index. Unweighted, the fold asks for index 0's verdict
+        # alone, certified with no closure built; with W = I it builds the
+        # closure of index 0 alone.
         built = counted_builds(monkeypatch)
         n = 12
         v = np.zeros(n)
         v[0] = 1.0
-        assert brute_force_opt(star(n - 1), v, 1e-9).indices == (1,)
+        sys_ = star(n - 1)
+        assert brute_force_opt(sys_, v, 1e-9).indices == (1,)
+        assert built == []
+        assert sys_._verdicts == {0: True}
+        assert brute_force_opt(LtiSystem(sys_.a, np.eye(n)), v, 1e-9).indices == (1,)
         assert built == [0]
 
     def test_epsilon_a_builds_each_closure_once(self, monkeypatch):
+        # Unweighted, every verdict is certified with no closure built; with
+        # W = I every closure is built, once.
         built = counted_builds(monkeypatch)
         n = 10
-        epsilon_a(erdos_renyi(n, 4), random_target(n, 4))
+        sys_ = erdos_renyi(n, 4)
+        v = random_target(n, 4)
+        epsilon_a(sys_, v)
+        assert built == []
+        assert sys_._verdicts == dict.fromkeys(range(n), True)
+        epsilon_a(LtiSystem(sys_.a, np.eye(n)), v)
         assert sorted(built) == list(range(n))
+
+    def test_an_unweighted_greedy_keeps_only_closures_that_are_not_full(self):
+        # Gaussian blocks and the hub of two twin blocks, whose closure is
+        # not full. v is opposite on the twins and zero on the hub, so the
+        # hub's bound, its mass on both twins, is scored first, and its
+        # closure, in which v has no mass, is never picked. The path stays
+        # basis-free, and the hub's closure is the only one built.
+        for seed in range(3):
+            rng = np.random.default_rng([2611, seed])
+            a = scipy.linalg.block_diag(twin_blocks(rng, 3), block_diagonal(rng, [4, 2, 5]))
+            sys_ = LtiSystem(a)
+            hub = 6
+            v = rng.standard_normal(sys_.n)
+            v[3:hub] = -v[:3]
+            v[hub] = 0.0
+            _, trace = greedy_eps(sys_, v, 1e-9 * float(v @ v))
+            assert len(trace.chosen) == 5 and hub + 1 not in trace.chosen
+            assert list(sys_._closures) == [hub]
+            assert {i0 for i0, full in sys_._verdicts.items() if not full} == {hub}
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_every_call_leaves_one_fold_table_the_closures(self, weighted):
-        # Besides its reach tables, a system keeps the closures alone:
-        # every fold, trial or set, is made in the caller's own accumulator.
+        # Besides its reach tables, a system keeps the closures and the
+        # fullness verdicts alone: every fold, trial or set, is made in the
+        # caller's own accumulator. Unweighted, every closure is certified
+        # full and none is built; a weighted system asks for no verdict.
         n = 12
         sys_ = erdos_renyi(n, 6)
         if weighted:
@@ -701,7 +745,8 @@ class TestSharedClosureCache:
         is_feasible(sys_, delta, v)
         reachable_subspace(sys_, delta)
         assert vars(sys_).keys() - {"a", "w"} == {
-            "_closures", "_reach", "_reach_bits", "_reach_groups"
+            "_verdicts" if not weighted else "_closures", "_reach", "_reach_bits",
+            "_reach_groups",
         }
 
     def test_system_is_freed_without_the_cycle_collector(self):
@@ -713,7 +758,7 @@ class TestSharedClosureCache:
         weighted = LtiSystem(unweighted.a, rng.standard_normal((13, 20)))
         balls = [Ball(weighted.w @ random_target(20, k), 0.5) for k in range(3)]
         solves = [
-            (unweighted, lambda sys_: bisection_exact(sys_, v, 1.0), {"_closures"}),
+            (unweighted, lambda sys_: bisection_exact(sys_, v, 1.0), {"_verdicts"}),
             (weighted, lambda sys_: subset_reach(sys_, balls), {"_closures"}),
         ]
         del unweighted, weighted
@@ -839,6 +884,8 @@ class TestSpanCapacity:
 
         monkeypatch.setattr(_SpanBuilder, "add", checked)
         rng = np.random.default_rng(["er", "blocks", "weighted"].index(kind) + 40)
+        # An unweighted solve builds no closure it certifies full, so every
+        # closure is also built by its sweep.
         for seed in range(3):
             for n in (12, int(rng.integers(20, 45))):
                 if kind == "blocks":
@@ -861,6 +908,8 @@ class TestSpanCapacity:
                 bisection_exact(LtiSystem(sys_.a, sys_.w), v, 1.0)
                 if n == 12:
                     list(reachcore._subset_residuals(sys_, v))
+                for i0 in range(n):
+                    sys_._closure(i0)
         assert any(narrow) and not all(narrow)
 
     def test_greedy_peak_memory_follows_the_closure_ranks(self):
@@ -1194,10 +1243,18 @@ class TestSharedSubsetWalk:
         assert repr(epsilon_a(unweighted, v)) == repr(per_mask_epsilon_a(unweighted, v))
 
     def test_epsilon_a_makes_no_add_that_is_absorbed(self, span_adds):
-        # Every fold stops once its state span fills its subset's reach.
+        # Every closure is certified full, so every fold only grows the
+        # cover, with no add. The sweep of each closure stops once it fills
+        # its index's reach, and with W = I, where every fold takes
+        # Gram-Schmidt, each fold stops once its state span fills its
+        # subset's reach.
         sys_ = cycle_blocks(4, 4, 4)
         v = np.random.default_rng(1733).standard_normal(sys_.n)
         assert math.isfinite(epsilon_a(sys_, v))
+        assert span_adds == []
+        for i0 in range(sys_.n):
+            sys_._closure(i0)
+        assert math.isfinite(epsilon_a(LtiSystem(sys_.a, np.eye(sys_.n)), v))
         assert span_adds and all(accepted for _, accepted in span_adds)
 
     def test_a_fold_the_output_weight_kills_is_not_shared(self):
@@ -1468,7 +1525,8 @@ class TestCoveragePrune:
         v = np.random.default_rng(1931).standard_normal(sys_.n)
         assert brute_force_opt(sys_, v, 1e-6 * float(v @ v)).indices == (1, 5, 9)
         assert include_calls == [0, 4, 8]
-        assert sorted(sys_._closures) == [0, 4, 8]
+        assert sorted(sys_._verdicts) == [0, 4, 8]
+        assert sys_._closures == {}
 
     def test_a_walk_below_k_keeps_the_sets_no_index_completes(self):
         # The lookahead drops a set of k - 1 indices from the walk for size

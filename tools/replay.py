@@ -15,8 +15,12 @@ for byte.
 Beside the corpora it replays a fixed off-benchmark set, written once into
 the same temporary directory from the tool's own numpy seeds, of paths that
 no workload runs: ``reach --eps`` and ``reach --exact`` on twin-block hub
-systems, whose hub's closure is not full, and ``oracle`` on weighted
-systems of at most 10 states, whose search takes no coverage limit.
+systems, whose hub's closure is not full; ``oracle`` on weighted systems of
+at most 10 states, whose search takes no coverage limit; and the paths
+where the fullness certificate declines and the Gram-Schmidt sweep decides:
+``reach --exact`` on Erdos-Renyi digraphs scaled by 1e-7 or 1e-8 and ``reach --eps``
+on 20%-dense lower-triangular systems. Last, ``reach --exact`` from the
+origin at n = 300.
 
 `--base` is a directory, or a git revision of this repository exported
 with ``git archive`` (default ``HEAD``, so an uncommitted change is
@@ -133,6 +137,40 @@ def off_benchmark(out: Path) -> Path:
         kmax = ["--kmax", "1"] if k % 4 == 3 else []
         op("oracle", ["oracle", f"{name}.json", "--x1", f"@{name}.x1.json", "--eps", repr(eps),
                       *kmax])
+    def erdos_renyi(rng, n):
+        # Edges with probability 2 ln(n) / n and Gaussian weights, as `gen er`.
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 2 * np.log(n) / n)
+        np.fill_diagonal(a, 0.0)
+        return a
+
+    def reach(rng, name, a, eps_rel=None):
+        # reach --eps at eps_rel times ||x1||^2, or reach --exact --accuracy 1,
+        # from the origin, with --trace.
+        x1 = rng.standard_normal(a.shape[0])
+        write(f"{name}.json", {"n": a.shape[0], "a": a.tolist()})
+        write(f"{name}.x1.json", x1.tolist())
+        base = ["reach", f"{name}.json", "--x1", f"@{name}.x1.json", "--trace", f"{name}.csv"]
+        if eps_rel is None:
+            op("exact", base + ["--exact", "--accuracy", "1"], f"{name}.csv")
+        else:
+            op("eps", base + ["--eps", repr(eps_rel * float(x1 @ x1))], f"{name}.csv")
+
+    for k in range(4):
+        # Scaled by 1e-7 or 1e-8, the absolute part of the absorb tolerance
+        # makes the certificate decline every closure, full or not. (At
+        # 1e-6 it still certifies the verdicts a greedy asks for.)
+        rng = np.random.default_rng([2612, k])
+        reach(rng, f"tiny{k}", 10.0 ** -(7 + k % 2) * erdos_renyi(rng, 30))
+    for k in range(4):
+        # 20%-dense lower-triangular Gaussian systems, whose closure ranks
+        # are ill-determined.
+        rng = np.random.default_rng([2613, k])
+        n = 20 + 5 * k
+        reach(rng, f"tril{k}", np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)),
+              1e-3)
+    for k in range(2):
+        rng = np.random.default_rng([2614, k])
+        reach(rng, f"er300-{k}", erdos_renyi(rng, 300))
     write("ops.json", ops)
     return out
 
