@@ -67,6 +67,10 @@ class LtiSystem:
     w : array_like, optional
         Output weight applied to reachable directions, shape ``(q, n)``.
         When omitted the output space is the state space itself.
+
+    An `a` or `w` whose squared Frobenius norm overflows float64 is
+    refused: no closure column or W-image has a norm above the matrix's, so
+    no span operation can overflow on an accepted system.
     """
 
     a: np.ndarray
@@ -76,6 +80,7 @@ class LtiSystem:
         a = as_square(self.a, "a")
         if a.shape[0] == 0:
             raise InputError("a: state dimension must be at least 1")
+        _check_frobenius(a, "a")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         if self.w is not None:
@@ -86,6 +91,7 @@ class LtiSystem:
                 )
             if w.shape[0] == 0:
                 raise InputError("w: output dimension must be at least 1")
+            _check_frobenius(w, "w")
             w.setflags(write=False)
             object.__setattr__(self, "w", w)
 
@@ -170,9 +176,12 @@ class LtiSystem:
     @cached_property
     def _reach_bits(self) -> tuple[int, ...]:
         """Row i of `_reach` as an integer bitmask: bit j is set when i
-        reaches state j."""
-        packed = np.packbits(self._reach, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+        reaches state j. Only the rows of `_reach_groups` are packed, one
+        per group, and every index reads its group's."""
+        group, rows = self._reach_groups
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return tuple(bits[g] for g in group.tolist())
 
     @cached_property
     def _reach_groups(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,17 +191,19 @@ class LtiSystem:
         that tracks a support per index can keep one per group: each index's
         starts as its row, and every update ORs the same states into each
         support that meets them, so supports that start equal stay equal
-        and a group never splits. Read-only."""
-        ids: dict[int, int] = {}
-        firsts: list[int] = []
-        group = []
-        for i0, bits in enumerate(self._reach_bits):
-            if bits not in ids:
-                ids[bits] = len(firsts)
-                firsts.append(i0)
-            group.append(ids[bits])
-        group = np.array(group)
-        rows = self._reach[firsts]
+        and a group never splits. Read-only.
+
+        Two indices reach the same states exactly when each reaches the
+        other, so the groups are the strongly connected components of the
+        digraph of `a`. Each index's component is named by its smallest
+        member, the first state it both reaches and is reached from (itself
+        at the latest); the smallest members in increasing order are the
+        first occurrences of the distinct rows."""
+        r = self._reach
+        first = (r & r.T).argmax(axis=1)
+        firsts = np.flatnonzero(first == np.arange(self.n))
+        group = np.searchsorted(firsts, first)
+        rows = r[firsts]
         group.setflags(write=False)
         rows.setflags(write=False)
         return group, rows
@@ -297,6 +308,17 @@ class FeasibilityReport:
     basis_rank: int
 
 
+def _check_frobenius(x: np.ndarray, name: str) -> None:
+    """Refuse the matrix `x` when its squared Frobenius norm overflows
+    float64 (see LtiSystem)."""
+    # np.vdot, as in _check_system_vector, warns of no overflow.
+    if math.isinf(float(np.vdot(x, x))):
+        raise InputError(
+            f"{name}: squared Frobenius norm overflows float64 "
+            f"(largest |entry| {float(np.abs(x).max()):.3g}); rescale it"
+        )
+
+
 def _check_system_vector(sys: LtiSystem, v, name: str = "v") -> np.ndarray:
     """`v` as a finite float64 vector of the output space's length.
 
@@ -362,8 +384,9 @@ def _certified_full(a: np.ndarray, row: np.ndarray, i0: int) -> bool:
     when no step's residual is at or below `_absorb_tol` of its norm, so
     the certificate asks each residual to exceed `_FULL_MARGIN` times that
     tolerance, a gap wider than rounding in either computation was measured
-    to close. Entries so large that a norm overflows give inf or nan, and
-    the certificate declines with no warning.
+    to close. No norm of an accepted system overflows (LtiSystem refuses
+    its `a`); on a bare array whose norms do, they give inf or nan, and the
+    certificate declines with no warning.
     """
     states = np.flatnonzero(row)
     m = states.size

@@ -456,8 +456,9 @@ def bisection_exact(
     is computed once however many probes there are.
 
     Returns the selected set, the threshold of the final greedy run, and
-    that run's trace. Raises NumericalInfeasibilityError when exact
-    feasibility is unreachable even at the floor.
+    that run's trace. Raises the path's NumericalInfeasibilityError when
+    the greedy is stuck above a probe's threshold; otherwise the run at the
+    floor, which lies below the exact tolerance, is exactly feasible.
     """
     accuracy = as_positive(accuracy, "accuracy")
     v = _check_system_vector(sys, v)
@@ -481,31 +482,18 @@ def bisection_exact(
             hi = eps
         eps = (lo + hi) / 2.0
     if not last_feasible:
-        hi = eps
-        eps = (lo + hi) / 2.0
+        eps = (lo + eps) / 2.0
 
-    ladder = [max(eps, floor)]
-    if lo > floor:
-        # lo was probed feasible in the loop, so the deterministic greedy
-        # is guaranteed to succeed there.
-        ladder.append(lo)
-    ladder.append(floor)
-    chosen: list[int] = []
-    residuals = [nv2]
-    final_eps = None
-    for probe in dict.fromkeys(ladder):
+    # lo, when above the floor, was probed feasible in the loop, so the
+    # deterministic greedy is guaranteed to succeed there. The floor lies
+    # below the exact tolerance, so its run, unless the path raises its
+    # stuck error, ends the ladder; a repeated probe changes nothing.
+    for probe in (max(eps, floor), max(lo, floor), floor):
         chosen, residuals = path.prefix(probe)
         if residuals[-1] <= exact:
-            final_eps = probe
             break
-    if final_eps is None:
-        raise NumericalInfeasibilityError(
-            f"exact feasibility unreachable: squared residual {residuals[-1]!r} "
-            f"at threshold floor {floor!r}",
-            residual_sq=residuals[-1],
-        )
-    delta, trace = _greedy_trace(sys.n, chosen, residuals, final_eps)
-    return delta, final_eps, trace
+    delta, trace = _greedy_trace(sys.n, chosen, residuals, probe)
+    return delta, probe, trace
 
 
 def subset_reach(

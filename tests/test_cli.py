@@ -15,7 +15,7 @@ import pytest
 
 import minreach
 from conftest import run_cli
-from minreach import Ball, cli, erdos_renyi, greedy_eps
+from minreach import Ball, LtiSystem, bisection_exact, cli, erdos_renyi, greedy_eps
 from minreach.errors import NumericalInfeasibilityError
 from test_selector import stuck_union
 
@@ -235,6 +235,38 @@ class TestReach:
         )
         assert code == 3
         assert "stuck" in err
+
+    def test_a_stuck_exact_solve_exits_3_with_the_paths_error(self, tmp_path):
+        # W scales the one state's image below the absorb tolerance, so no
+        # pick reduces the residual of v = W x1 = [1.0]: the first probe,
+        # at half of ||v||^2, is stuck, and its error is the exit-3 line.
+        sys_ = LtiSystem([[0.0]], [[1e-12]])
+        path = write_system(tmp_path, "sys.json", sys_.a, sys_.w)
+        with pytest.raises(NumericalInfeasibilityError) as got:
+            bisection_exact(sys_, [1.0], 1e-3)
+        assert str(got.value) == (
+            "no candidate reduces the residual below 0.5; stuck at squared residual 1.0"
+        )
+        argv = ["reach", path, "--x1", "1e12", "--exact", "--accuracy", "1e-3"]
+        assert run_cli(argv) == (3, "", f"error: {got.value}\n")
+
+    def test_a_state_matrix_whose_squared_norm_overflows_exits_2(self, tmp_path):
+        a = 1e160 * erdos_renyi(30, 3).a
+        path = write_system(tmp_path, "big.json", a)
+        argv = ["reach", path, "--x1", ",".join(["1"] * 30), "--exact", "--accuracy", "1e-3"]
+        assert run_cli(argv) == (
+            2,
+            "",
+            "error: a: squared Frobenius norm overflows float64 "
+            f"(largest |entry| {float(np.abs(a).max()):.3g}); rescale it\n",
+        )
+
+    def test_a_state_matrix_whose_squared_norm_is_finite_is_solved(self, tmp_path):
+        path = write_system(tmp_path, "big.json", 1e150 * erdos_renyi(30, 3).a)
+        argv = ["reach", path, "--x1", ",".join(["1"] * 30), "--exact", "--accuracy", "1e-3"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert parse_report(out)["actuators"] == [1]
 
     def test_overflowing_window_names_it(self, tmp_path):
         # exp(A * 2000) overflows float64 for this digraph (spectral

@@ -36,7 +36,7 @@ from minreach.reachcore import (
     _ReachAccumulator,
     _subset_residuals,
 )
-from test_reachcore import fold_greedy
+from test_reachcore import fold_greedy, strong_components
 from test_selector import by_size, combinations_oracle, per_ball_subset_reach, plain_walk, union_outcome
 
 #: Matrix and target entries: zero, or a magnitude in [1/8, 2], so no
@@ -327,6 +327,14 @@ def test_a_certified_closure_is_full(a):
         if _certified_full(sys_.a, sys_._reach[i0], i0):
             assert full
         assert sys_._full(i0) == full
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_the_reach_groups_are_the_strongly_connected_components(kind, data):
+    # Against scipy's component search, which reads only the digraph of A.
+    a = data.draw(state_matrices(max_n=8, kinds=(kind,)))
+    assert np.array_equal(LtiSystem(a)._reach_groups[0], strong_components(a))
 
 
 @given(problems(), st.data())

@@ -64,6 +64,21 @@ class TestLtiSystem:
         assert LtiSystem(np.eye(3)).output_dim == 3
         assert LtiSystem(np.eye(3), w=np.ones((2, 3))).output_dim == 2
 
+    @pytest.mark.parametrize("which", ["a", "w"])
+    def test_rejects_a_matrix_whose_squared_norm_overflows(self, which):
+        # No closure column or W-image has a norm above the matrix's,
+        # so refusing the matrix leaves no span operation to overflow.
+        a = erdos_renyi(30, 3).a
+        w = np.ones((2, 30))
+        big = 1e160 * (a if which == "a" else w)
+        largest = float(np.abs(big).max())
+        with pytest.raises(InputError) as got:
+            LtiSystem(big, w) if which == "a" else LtiSystem(a, big)
+        assert str(got.value) == (
+            f"{which}: squared Frobenius norm overflows float64 "
+            f"(largest |entry| {largest:.3g}); rescale it"
+        )
+
     def test_matrices_read_only(self):
         sys_ = LtiSystem(np.eye(2))
         with pytest.raises(ValueError):
@@ -892,6 +907,17 @@ def permuted(rng, a):
     return a[np.ix_(perm, perm)]
 
 
+def strong_components(a):
+    """Each index's strongly connected component of the digraph of `a`, by
+    scipy's own search, numbered in order of the components' smallest
+    members."""
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(a != 0.0, directed=True, connection="strong")
+    smallest = np.array([np.flatnonzero(labels == label)[0] for label in labels])
+    return np.unique(smallest, return_inverse=True)[1]
+
+
 class TestReachGroups:
     """The greedy keeps one support row and one bound per group of indices
     with equal reach rows. Every index's group row is the row that a
@@ -928,6 +954,19 @@ class TestReachGroups:
             firsts = [int(np.flatnonzero(group == g)[0]) for g in range(len(rows))]
             assert firsts == sorted(firsts)
             assert sys_._reach_groups is sys_._reach_groups
+
+    def test_groups_are_the_strongly_connected_components(self):
+        rng = np.random.default_rng(2701)
+        n = 20
+        systems = [
+            *self.systems(),
+            LtiSystem(np.diag(np.ones(n - 1), -1)),
+            star(6),
+            build_lemma1(HittingSetInstance(5, [(1, 2), (2, 3, 4), (4, 5)]))[0],
+            LtiSystem(np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2))),
+        ]
+        for sys_ in systems:
+            assert np.array_equal(sys_._reach_groups[0], strong_components(sys_.a))
 
     def test_groups_are_the_unique_construction(self):
         # The groups numbered by first occurrence, and their rows picked by
@@ -1330,8 +1369,11 @@ class TestFullnessCertificate:
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_a_matrix_whose_norms_overflow_is_declined_quietly(self, scale):
-        # The suite turns a RuntimeWarning into an error.
-        sys_ = LtiSystem(scale * erdos_renyi(30, 3).a)
+        # The suite turns a RuntimeWarning into an error. LtiSystem refuses
+        # such an `a`, so the bare array is given with the unscaled
+        # system's reach rows, which scaling does not change.
+        sys_ = erdos_renyi(30, 3)
+        a = scale * sys_.a
         for i0 in range(sys_.n):
-            assert not reachcore._certified_full(sys_.a, sys_._reach[i0], i0)
+            assert not reachcore._certified_full(a, sys_._reach[i0], i0)
 

@@ -258,6 +258,21 @@ class TestBisectionExact:
         assert is_feasible(sys_, delta, v).feasible
         assert trace.residuals[-1] <= final_eps
 
+    def test_a_stuck_path_raises_its_own_error(self):
+        # The stuck center lies off W's range, so no pick reduces its
+        # residual: the first probe, at half of ||v||^2, raises the path's
+        # error, as greedy_eps at that threshold does.
+        sys_, stuck, _ = stuck_union()
+        v = stuck.center
+        nv2 = float(v @ v)
+        with pytest.raises(NumericalInfeasibilityError) as got:
+            bisection_exact(sys_, v, 1e-3)
+        with pytest.raises(NumericalInfeasibilityError) as want:
+            greedy_eps(sys_, v, nv2 / 2.0)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("no candidate reduces the residual below ")
+        assert got.value.residual_sq == want.value.residual_sq == nv2
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
             bisection_exact(DIAG12, [1.0, 1.0], 0.0)

@@ -19,8 +19,12 @@ systems, whose hub's closure is not full; ``oracle`` on weighted systems of
 at most 10 states, whose search takes no coverage limit; and the paths
 where the fullness certificate declines and the Gram-Schmidt sweep decides:
 ``reach --exact`` on Erdos-Renyi digraphs scaled by 1e-7 or 1e-8 and ``reach --eps``
-on 20%-dense lower-triangular systems. Last, ``reach --exact`` from the
-origin at n = 300.
+on 20%-dense lower-triangular systems; ``reach --exact`` from the origin at
+n = 300. Last, digraphs whose strongly connected components hold several
+states and reach different states: ``reach --eps`` with ``--trace`` on
+four relabelled networks of Gaussian blocks of 1 to 6 states joined by a
+few one-way edges and on a 40-state chain with Gaussian weights, and
+``oracle`` on two 12-state networks of blocks.
 
 `--base` is a directory, or a git revision of this repository exported
 with ``git archive`` (default ``HEAD``, so an uncommitted change is
@@ -171,6 +175,42 @@ def off_benchmark(out: Path) -> Path:
     for k in range(2):
         rng = np.random.default_rng([2614, k])
         reach(rng, f"er300-{k}", erdos_renyi(rng, 300))
+
+    def block_network(rng, n):
+        # Gaussian blocks of 1 to 6 states, each one strongly connected
+        # component, joined by a few one-way edges from an earlier block to
+        # a later one, so that the reach rows of the blocks differ; then
+        # the states are relabelled.
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, min(6, n - sum(sizes)) + 1)))
+        starts = np.cumsum([0, *sizes])
+        a = np.zeros((n, n))
+        for lo, hi in zip(starts, starts[1:]):
+            a[lo:hi, lo:hi] = rng.standard_normal((hi - lo, hi - lo))
+        for _ in range(len(sizes) // 2 + 1):
+            src, dst = sorted(rng.choice(len(sizes), 2, replace=False))
+            k = rng.integers(starts[dst], starts[dst + 1])
+            j = rng.integers(starts[src], starts[src + 1])
+            a[k, j] = rng.standard_normal()
+        perm = rng.permutation(n)
+        return a[np.ix_(perm, perm)]
+
+    for k in range(4):
+        rng = np.random.default_rng([2715, k])
+        reach(rng, f"network{k}", block_network(rng, 24 + 8 * k), 1e-3)
+    rng = np.random.default_rng(2716)
+    # A chain with Gaussian weights: every component is one state, and
+    # every reach row differs.
+    reach(rng, "chain", np.diag(rng.standard_normal(39), -1), 1e-3)
+    for k in range(2):
+        rng = np.random.default_rng([2717, k])
+        name = f"network12-{k}"
+        x1 = rng.standard_normal(12)
+        write(f"{name}.json", {"n": 12, "a": block_network(rng, 12).tolist()})
+        write(f"{name}.x1.json", x1.tolist())
+        op("oracle", ["oracle", f"{name}.json", "--x1", f"@{name}.x1.json",
+                      "--eps", repr((0.05, 0.3)[k] * float(x1 @ x1))])
     write("ops.json", ops)
     return out
 
